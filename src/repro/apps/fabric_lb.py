@@ -36,7 +36,7 @@ from repro.net.hosts import Host, SinkHost
 from repro.net.routing import install_routes
 from repro.switch.asic import STANDARD_METADATA_P4
 from repro.switch.hashing import compute_hash
-from repro.switch.packet import Packet
+from repro.switch.packet import Packet, PacketTemplate
 from repro.system import MantisSystem
 
 NUM_BUCKETS = 4
@@ -226,19 +226,21 @@ class MultiFlowSender(Host):
 
     def add_flow(self, fields: Dict[str, int], rate_gbps: float,
                  size_bytes: int = 1000) -> None:
-        self.flows.append({
+        flow = {
             "fields": dict(fields),
             "size_bytes": size_bytes,
             "interval_us": size_bytes * 8 / (rate_gbps * 1000.0),
-        })
+            "template": PacketTemplate(fields, size_bytes=size_bytes),
+        }
+        # One callback per flow, rescheduled as is on every tick.
+        flow["tick"] = lambda now: self._tick(flow, now)
+        self.flows.append(flow)
 
     def start(self, at_us: Optional[float] = None) -> None:
         self._running = True
         start = self.sim.clock.now if at_us is None else at_us
         for flow in self.flows:
-            self.sim.events.schedule(
-                start, lambda now, f=flow: self._tick(f, now)
-            )
+            self.sim.events.schedule(start, flow["tick"])
 
     def stop(self) -> None:
         self._running = False
@@ -246,13 +248,11 @@ class MultiFlowSender(Host):
     def _tick(self, flow: Dict[str, object], now: float) -> None:
         if not self._running:
             return
-        packet = Packet(dict(flow["fields"]), size_bytes=flow["size_bytes"])
-        self.sim.send_to_switch(packet, self.port)
+        self.sim.send_to_switch(
+            Packet.from_template(flow["template"]), self.port
+        )
         self.tx_packets += 1
-        self.sim.events.schedule(now + flow["interval_us"], self._tick_for(flow))
-
-    def _tick_for(self, flow):
-        return lambda now: self._tick(flow, now)
+        self.sim.events.schedule(now + flow["interval_us"], flow["tick"])
 
 
 @dataclass

@@ -189,7 +189,7 @@ def profile_fastpath(
     Data plane: rebuild the compiled engine with per-control /
     per-table / per-action counters (:meth:`SwitchAsic.enable_profiling`
     -- batch plans are disabled under profiling, so counts reflect the
-    instrumented scalar closures) and pump the workload.  Control
+    instrumented scalar controls) and pump the workload.  Control
     plane: run dialogue iterations and report the agent's cumulative
     per-phase time split (mv_flip / poll / react / commit)."""
     app = build_dos_system("compiled")

@@ -464,7 +464,7 @@ class _BurstTM:
             pending.append(
                 (lane, depart + latency, port_index, packets[lane])
             )
-        asic_ports = switch.system.asic.ports
+        asic_ports = switch._asic_ports
         if port_index < len(asic_ports):
             asic_ports[port_index].queue_depth = port.queued
 
@@ -483,7 +483,7 @@ class _BurstTM:
             switch._departing.add(port_index)
         else:
             switch._departing.discard(port_index)
-        asic_ports = switch.system.asic.ports
+        asic_ports = switch._asic_ports
         if port_index < len(asic_ports):
             asic_ports[port_index].queue_depth = port.queued
 
@@ -522,9 +522,12 @@ class FabricSwitch:
         self.default_port = default_port or PortConfig()
         self.ports: Dict[int, _PortState] = {}
         self.hosts: Dict[int, "HostLike"] = {}
-        # port -> (peer switch, peer ingress port, link) for
-        # switch-to-switch cables.
-        self.peers: Dict[int, Tuple["FabricSwitch", int, Link]] = {}
+        # port -> (peer switch, peer ingress port, link, peer port
+        # state) for switch-to-switch cables; the state is resolved
+        # once at wiring time so a hop never looks it up.
+        self.peers: Dict[
+            int, Tuple["FabricSwitch", int, Link, _PortState]
+        ] = {}
         self.switch_drops = 0
         self.delivered = 0
         self.forwarded = 0  # packets handed to a peer switch
@@ -534,6 +537,9 @@ class FabricSwitch:
         # The ASIC pulls live depths (lazy-drained to the exact packet
         # timestamp) instead of relying on pushed snapshots.
         system.asic.queue_model = self._queue_depth_at
+        # The ASIC's port snapshot list (a stable object) that queue
+        # accounting republishes depths into.
+        self._asic_ports = system.asic.ports
         # Static per-program gate for the vectorized burst tail: when
         # no egress action can drop and nothing recirculates, burst
         # delivery runs through _BurstTM instead of a per-packet sink.
@@ -547,7 +553,13 @@ class FabricSwitch:
     # ---- wiring ----------------------------------------------------------
 
     def configure_port(self, port: int, config: PortConfig) -> None:
-        self.ports[port] = _PortState(config)
+        state = self.ports.get(port)
+        if state is None:
+            self.ports[port] = _PortState(config)
+        else:
+            # In place: peers hold a reference to this port's state.
+            state.config = config
+            state.rate_bits_per_us = config.bandwidth_gbps * 1000.0
 
     def _port(self, port: int) -> _PortState:
         if port not in self.ports:
@@ -590,7 +602,7 @@ class FabricSwitch:
                 f"{self.name}: port {port} already linked to "
                 f"{self.peers[port][0].name}"
             )
-        self.peers[port] = (peer, peer_port, link)
+        self.peers[port] = (peer, peer_port, link, peer._port(peer_port))
 
     # ---- queue accounting -------------------------------------------------
 
@@ -604,13 +616,13 @@ class FabricSwitch:
             port.queued -= 1
         if not departs:
             self._departing.discard(port_index)
-        asic_ports = self.system.asic.ports
+        asic_ports = self._asic_ports
         if port_index < len(asic_ports):
             asic_ports[port_index].queue_depth = port.queued
 
     def _queue_depth_at(self, port_index: int, now: float) -> int:
         """``asic.queue_model``: the live depth of one port at ``now``."""
-        port = self._port(port_index)
+        port = self.ports.get(port_index) or self._port(port_index)
         if port.departs:
             self._drain_port(port_index, port, now)
         return port.queued
@@ -744,7 +756,7 @@ class FabricSwitch:
         self._process_batch(packets, times=times, sink=sink)
 
     def _enqueue(self, egress_port: int, packet: Packet, now: float) -> None:
-        port = self._port(egress_port)
+        port = self.ports.get(egress_port) or self._port(egress_port)
         if not port.up:
             port.dropped += 1
             return
@@ -763,7 +775,7 @@ class FabricSwitch:
         port.queued += 1
         port.departs.append(depart)
         self._departing.add(egress_port)
-        asic_ports = self.system.asic.ports
+        asic_ports = self._asic_ports
         if egress_port < len(asic_ports):
             asic_ports[egress_port].queue_depth = port.queued
         arrival = depart + port.config.latency_us
@@ -778,8 +790,8 @@ class FabricSwitch:
     def _deliver(self, port_index: int, packet: Packet, now: float) -> None:
         peer = self.peers.get(port_index)
         if peer is not None:
-            peer_switch, peer_port, link = peer
-            if not link.up or not peer_switch._port(peer_port).up:
+            peer_switch, peer_port, link, peer_state = peer
+            if not link.up or not peer_state.up:
                 self._port(port_index).dropped += 1
                 return
             if link.fault_models:
@@ -793,7 +805,7 @@ class FabricSwitch:
             packet.fields["standard_metadata.ingress_port"] = peer_port
             peer_switch._ingress(packet, now)
             return
-        port_state = self._port(port_index)
+        port_state = self.ports.get(port_index) or self._port(port_index)
         if (
             port_state.fault is not None
             and port_state.fault.admit(packet, now, "out") == "drop"

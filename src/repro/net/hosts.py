@@ -5,7 +5,19 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.net.sim import HostLike, NetworkSim
-from repro.switch.packet import Packet
+from repro.switch.packet import Packet, PacketTemplate
+
+
+def sequenced_template(
+    fields: Dict[str, int], seq_field: str, size_bytes: int
+) -> PacketTemplate:
+    """The shape of a sender's packets whose ``seq_field`` is stored
+    per packet after the template copy.  The field gets its slot (and
+    its header its validity) here, so key order and valid headers match
+    a packet built from ``fields`` plus the sequence number."""
+    shape = dict(fields)
+    shape[seq_field] = 0
+    return PacketTemplate(shape, size_bytes=size_bytes)
 
 
 class Host(HostLike):
@@ -82,6 +94,7 @@ class UdpSender(Host):
         self.fields = dict(fields)
         self.rate_gbps = rate_gbps
         self.size_bytes = size_bytes
+        self._template = PacketTemplate(self.fields, size_bytes=size_bytes)
         self.interval_us = size_bytes * 8 / (rate_gbps * 1000.0)
         self.burst_size = max(1, burst_size)
         self.tx_packets = 0
@@ -99,14 +112,14 @@ class UdpSender(Host):
         if not self._running:
             return
         if self.burst_size == 1:
-            packet = Packet(dict(self.fields), size_bytes=self.size_bytes)
+            packet = Packet.from_template(self._template)
             self.sim.send_to_switch(packet, self.port)
             self.tx_packets += 1
             self.sim.events.schedule(now + self.interval_us, self._tick)
             return
+        template = self._template
         burst = [
-            Packet(dict(self.fields), size_bytes=self.size_bytes)
-            for _ in range(self.burst_size)
+            Packet.from_template(template) for _ in range(self.burst_size)
         ]
         self.sim.send_burst_to_switch(
             burst, self.port, spacing_us=self.interval_us
@@ -138,6 +151,7 @@ class HeartbeatGenerator(Host):
         self.fields = dict(fields)
         self.period_us = period_us
         self.size_bytes = size_bytes
+        self._template = PacketTemplate(self.fields, size_bytes=size_bytes)
         self.loss_rate = 0.0
         self.tx_packets = 0
         self._running = False
@@ -167,7 +181,7 @@ class HeartbeatGenerator(Host):
         if not self._running:
             return
         if self._rand() >= self.loss_rate:
-            packet = Packet(dict(self.fields), size_bytes=self.size_bytes)
+            packet = Packet.from_template(self._template)
             self.sim.send_to_switch(packet, self.port)
             self.tx_packets += 1
         self.sim.events.schedule(now + self.period_us, self._tick)
@@ -195,6 +209,9 @@ class SeqProbeGenerator(Host):
         self.fields = dict(fields)
         self.period_us = period_us
         self.size_bytes = size_bytes
+        self._template = sequenced_template(
+            self.fields, seq_field, size_bytes
+        )
         self.seq_field = seq_field
         self.next_seq = start_seq
         self.tx_packets = 0
@@ -211,10 +228,9 @@ class SeqProbeGenerator(Host):
     def _tick(self, now: float) -> None:
         if not self._running:
             return
-        fields = dict(self.fields)
-        fields[self.seq_field] = self.next_seq
+        packet = Packet.from_template(self._template)
+        packet.fields[self.seq_field] = self.next_seq
         self.next_seq += 1
-        packet = Packet(fields, size_bytes=self.size_bytes)
         self.sim.send_to_switch(packet, self.port)
         self.tx_packets += 1
         self.sim.events.schedule(now + self.period_us, self._tick)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.net.hosts import Host
+from repro.net.hosts import Host, sequenced_template
 from repro.switch.packet import Packet
 
 
@@ -44,6 +44,7 @@ class TcpFlow(Host):
         super().__init__(name)
         self.fields = dict(fields)
         self.size_bytes = size_bytes
+        self._template = sequenced_template(self.fields, "tcp.seq", size_bytes)
         self.ack_latency_us = ack_latency_us
         self.cwnd = initial_cwnd
         self.max_cwnd = max_cwnd
@@ -131,9 +132,8 @@ class TcpFlow(Host):
         self._pump(now)
 
     def _transmit(self, seq: int, now: float) -> None:
-        fields = dict(self.fields)
-        fields["tcp.seq"] = seq & 0xFFFFFFFF
-        packet = Packet(fields, size_bytes=self.size_bytes)
+        packet = Packet.from_template(self._template)
+        packet.fields["tcp.seq"] = seq & 0xFFFFFFFF
         # The ACK path: the sink host is the switch's delivery target;
         # we model the reverse direction as a fixed-latency callback.
         packet_seq = seq

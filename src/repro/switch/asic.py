@@ -49,12 +49,12 @@ STANDARD_METADATA_P4 = (
 
 MAX_RECIRCULATIONS = 4
 
-# Execution-engine selection: "compiled" (closure fast path, the
-# default), "interpreter" (the reference tree-walker), or "columnar"
-# (numpy struct-of-arrays batch engine; scalar paths fall back to the
-# compiled closures).  The env var is read only when no constructor
-# argument is given, so tests can pin a mode per-ASIC while operators
-# flip the whole process.
+# Execution-engine selection: "compiled" (generated-source fast path,
+# the default), "interpreter" (the reference tree-walker), or
+# "columnar" (numpy struct-of-arrays batch engine; scalar paths fall
+# back to the compiled engine's generated controls).  The env var is
+# read only when no constructor argument is given, so tests can pin a
+# mode per-ASIC while operators flip the whole process.
 EXECUTION_MODE_ENV = "MANTIS_PIPELINE"
 EXECUTION_MODES = ("compiled", "interpreter", "columnar")
 
@@ -174,11 +174,11 @@ class SwitchAsic:
         self._seed = seed
         self.interpreter = PipelineExecutor(self, seed=seed, rng=rng)
         if execution_mode == "compiled":
-            self.executor = CompiledPipeline(self, rng=rng)
+            self._bind_executor(CompiledPipeline(self, rng=rng))
         elif execution_mode == "columnar":
-            self.executor = ColumnarPipeline(self, rng=rng)
+            self._bind_executor(ColumnarPipeline(self, rng=rng))
         else:
-            self.executor = self.interpreter
+            self._bind_executor(self.interpreter)
         self.packets_processed = 0
         self.packets_dropped = 0
         # Total pipeline passes, including recirculations: the unit of
@@ -191,6 +191,14 @@ class SwitchAsic:
         # ASIC tests, fastbench).
         self.queue_model: Optional[QueueModel] = None
         self.profile: Optional[PipelineProfile] = None
+
+    def _bind_executor(self, executor) -> None:
+        """Select an engine and bind its two controls once, so
+        :meth:`process` pays one call per control block and no
+        per-packet lookup (``None``: the program has no such control)."""
+        self.executor = executor
+        self._ingress = executor.bound_control("ingress")
+        self._egress = executor.bound_control("egress")
 
     def _ensure_standard_metadata(self) -> None:
         if "standard_metadata" in self.program.headers:
@@ -261,41 +269,20 @@ class SwitchAsic:
             if self.execution_mode == "columnar"
             else CompiledPipeline
         )
-        self.executor = engine(self, rng=self._rng, profile=profile)
+        self._bind_executor(engine(self, rng=self._rng, profile=profile))
         self.profile = profile
         return profile
 
     # ---- packet processing --------------------------------------------------
 
-    def _stamp_ingress(self, packet: Packet) -> None:
-        packet.fields["standard_metadata.ingress_global_timestamp"] = int(
-            self.clock.now
-        )
-
-    def _traffic_manager(self, packet: Packet) -> None:
-        """Between ingress and egress: resolve the egress port and
-        expose its queue depth (the signal Mantis polls)."""
-        port = packet.egress_spec
-        if not 0 <= port < self.num_ports:
-            raise SwitchError(f"egress_spec {port} out of range")
-        packet.fields["standard_metadata.egress_port"] = port
-        queue_model = self.queue_model
-        if queue_model is not None:
-            depth = queue_model(port, self.clock.now)
-        else:
-            depth = self.ports[port].queue_depth
-        packet.fields["standard_metadata.enq_qdepth"] = depth
-        packet.fields["standard_metadata.deq_qdepth"] = depth
-        packet.fields["standard_metadata.egress_global_timestamp"] = int(
-            self.clock.now
-        )
-
     def _traffic_manager_at(
         self, packet: Packet, now: float, ts: int
     ) -> None:
-        """:meth:`_traffic_manager` with an explicit notional time
-        (burst coalescing runs packets at their per-packet arrival
-        times while the real clock sits at the burst start)."""
+        """Between ingress and egress: resolve the egress port and
+        expose its queue depth (the signal Mantis polls).  The time is
+        explicit because burst coalescing runs packets at their
+        per-packet arrival times while the real clock sits at the burst
+        start."""
         port = packet.egress_spec
         if not 0 <= port < self.num_ports:
             raise SwitchError(f"egress_spec {port} out of range")
@@ -318,29 +305,48 @@ class SwitchAsic:
         ``MAX_RECIRCULATIONS`` times (each pass costs pipeline latency,
         modelling the paper's recirculation bandwidth concern).
 
-        This is the hot path: it duplicates :meth:`process_stepped`
-        without the generator machinery, calling the engine's
-        ``run_control`` directly.
+        This is the hot path: a thin shell around the two controls the
+        executor bound at build time, with the timestamp and the
+        traffic manager (:meth:`_traffic_manager_at`) inline.  Nothing
+        here advances the clock, so it is read once.
         """
         self.packets_processed += 1
-        executor = self.executor
+        ingress = self._ingress
+        egress = self._egress
         fields = packet.fields
-        for _pass in range(1 + MAX_RECIRCULATIONS):
+        now = self.clock.now
+        ts = int(now)
+        recirculations = MAX_RECIRCULATIONS
+        while True:
             self.pipeline_passes += 1
-            fields["standard_metadata.ingress_global_timestamp"] = int(
-                self.clock.now
-            )
-            executor.run_control("ingress", packet)
+            fields["standard_metadata.ingress_global_timestamp"] = ts
+            if ingress is not None:
+                ingress(packet)
             if fields["standard_metadata.drop_flag"]:
                 break
-            self._traffic_manager(packet)
-            executor.run_control("egress", packet)
+            port_id = fields["standard_metadata.egress_spec"]
+            if not 0 <= port_id < self.num_ports:
+                raise SwitchError(f"egress_spec {port_id} out of range")
+            fields["standard_metadata.egress_port"] = port_id
+            queue_model = self.queue_model
+            if queue_model is not None:
+                depth = queue_model(port_id, now)
+            else:
+                depth = self.ports[port_id].queue_depth
+            fields["standard_metadata.enq_qdepth"] = depth
+            fields["standard_metadata.deq_qdepth"] = depth
+            fields["standard_metadata.egress_global_timestamp"] = ts
+            if egress is not None:
+                egress(packet)
             if (
                 fields["standard_metadata.drop_flag"]
                 or not fields["standard_metadata.recirculate_flag"]
             ):
                 break
             fields["standard_metadata.recirculate_flag"] = 0
+            if not recirculations:
+                break
+            recirculations -= 1
         if fields["standard_metadata.drop_flag"]:
             self.packets_dropped += 1
             return None
@@ -362,7 +368,7 @@ class SwitchAsic:
         Semantically identical to calling :meth:`process` per packet --
         same results, counters, timestamps, and port statistics -- but
         with the per-packet binding work hoisted out of the loop: the
-        control closures, port list, and timestamp are resolved once
+        control functions, port list, and timestamp are resolved once
         per batch, and the common single-pass forward path runs fused.
         Drops stay inline; recirculation falls back to the generic
         pass-by-pass loop per packet.
@@ -415,12 +421,9 @@ class SwitchAsic:
         egress_ops = get_plan("egress")
         if ingress_ops is None:
             # Profiling: no fused plan; route each packet through the
-            # counting control closures instead.
-            bind = executor.bound_control
-            control = bind("ingress")
-            ingress_ops = (control,) if control is not None else ()
-            control = bind("egress")
-            egress_ops = (control,) if control is not None else ()
+            # counting generated controls instead.
+            ingress_ops = () if self._ingress is None else (self._ingress,)
+            egress_ops = () if self._egress is None else (self._egress,)
         else:
             executor.begin_batch()
         ports = self.ports
@@ -1257,11 +1260,16 @@ class SwitchAsic:
         self.packets_processed += 1
         for _pass in range(1 + MAX_RECIRCULATIONS):
             self.pipeline_passes += 1
-            self._stamp_ingress(packet)
+            # Re-read per pass: the caller may advance the clock
+            # between yields.
+            packet.fields["standard_metadata.ingress_global_timestamp"] = int(
+                self.clock.now
+            )
             yield from self.executor.iter_control("ingress", packet)
             if packet.dropped:
                 break
-            self._traffic_manager(packet)
+            now = self.clock.now
+            self._traffic_manager_at(packet, now, int(now))
             yield from self.executor.iter_control("egress", packet)
             if packet.dropped or not packet.recirculated:
                 break
@@ -1272,8 +1280,3 @@ class SwitchAsic:
             port = self.ports[packet.fields["standard_metadata.egress_port"]]
             port.tx_packets += 1
             port.tx_bytes += packet.size_bytes
-
-    def _result(self, packet: Packet) -> Optional[Tuple[int, Packet]]:
-        if packet.dropped:
-            return None
-        return packet.fields["standard_metadata.egress_port"], packet

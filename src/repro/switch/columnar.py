@@ -967,7 +967,17 @@ class _VecActionCompiler:
         if name == "modify_field":
             value = self._value(args[1])
             if len(args) > 2:
-                value = _vbin("bit_and", value, self._value(args[2]))
+                # Masked form: (dst & ~mask) | (src & mask), with
+                # ~mask spelled -1 - mask so it lowers like any value.
+                if not isinstance(args[0], ast.FieldRef):
+                    raise _GiveUp("destination is not a field")
+                mask = self._value(args[2])
+                current = self._read_field(f"{args[0].header}.{args[0].field}")
+                value = _vbin(
+                    "bit_or",
+                    _vbin("bit_and", current, _vadd(_vc(-1), mask, -1)),
+                    _vbin("bit_and", value, mask),
+                )
             self._store_field(args[0], value)
             return
         if name in ("add", "subtract", "bit_and", "bit_or", "bit_xor",
@@ -1079,7 +1089,7 @@ class _VecActionCompiler:
         """``modify_field_with_hash_based_offset(dst, base, calc,
         size)``: hash the calculation's field-list columns with the
         cached batch variant of the algorithm, mirroring
-        :meth:`CompiledPipeline._compile_hash` (same width derivation,
+        :meth:`repro.switch.compiled._Emitter.hash` (same width derivation,
         same truncate-then-modulus order)."""
         program = self.asic.program
         calc = program.field_list_calcs.get(args[2])
@@ -1393,31 +1403,27 @@ class _TableSweep:
         vector groups is unobservable)."""
         batch = st.batch
         packets = batch.ensure_packets()
-        resolve_steps = self.pipeline._resolve_steps
+        fuse = self.pipeline._fuse_runner
         lanes: List[tuple] = []
         for matched, action, args, g_idx, g_count in drains:
-            if action is None:
-                steps: tuple = ()
-            else:
-                steps = resolve_steps(action, list(args))
+            run = fuse(action, tuple(args))
             if g_idx is None:
                 g_idx = range(batch.n)
             for lane in g_idx:
-                lanes.append((int(lane), matched, steps, args))
+                lanes.append((int(lane), matched, run))
         lanes.sort(key=lambda item: item[0])
         st.mark_fallback(
             np.fromiter((l[0] for l in lanes), np.int64, count=len(lanes)),
             len(lanes), f"drain:{self.name}",
         )
-        for lane, matched, steps, args in lanes:
+        for lane, matched, run in lanes:
             if matched:
                 hits += 1
             else:
                 misses += 1
             batch.lane_flush(lane)
             packet = packets[lane]
-            for step in steps:
-                step(args, packet)
+            run(packet, packet.fields)
             batch.lane_resync(lane)
         return hits, misses
 
@@ -1500,7 +1506,7 @@ class _SweepState:
 class ColumnarPipeline(CompiledPipeline):
     """Compiled engine plus columnar batch plans.
 
-    Inherits every scalar path (per-packet closures, fused batch
+    Inherits every scalar path (generated controls, fused batch
     plans, op-major sweeps) so any burst the vectorizer cannot take
     still executes with compiled-engine semantics."""
 

@@ -1,27 +1,37 @@
-"""Compile-to-closure fast path for the packet pipeline.
+"""Compile-to-source fast path for the packet pipeline.
 
 :class:`CompiledPipeline` lowers a loaded program once, at
-construction time, into nests of closed-over Python closures:
+construction time, into **one generated Python function per control
+block** (source text -> ``compile`` -> ``exec``).  Everything the
+program fixes is baked into that source:
 
-- every ``"instance.field"`` key string is built exactly once and
-  interned into the closure that reads or writes it (the interpreter
-  re-builds these with an f-string on every access);
-- every field-width mask is resolved from ``asic.field_masks`` at
-  compile time, so per-packet writes are a dict store plus at most one
-  ``&``;
-- primitive dispatch (the interpreter's string-comparison ladder) is
-  resolved once per action body; executing an action is a loop over
-  pre-specialized step closures;
-- expression trees in ``if`` conditions are folded into flat lambdas,
-  with constant subtrees evaluated at compile time;
-- table applies bind the :class:`~repro.switch.tables.TableRuntime`
-  and a precompiled key-extraction closure directly, so lookups skip
-  the per-packet ``reads`` walk.
+- key extraction, the exact-index probe, hit/miss accounting and the
+  drop check between statements are straight-line code, not a tree of
+  per-statement closures;
+- ``if``/``else`` conditions are flat expressions;
+- every action a table declares is inlined behind an
+  ``if name == ...`` chain, reading its parameters from the matched
+  entry's live ``action_args`` list;
+- ``"instance.field"`` keys, field-width masks, register sizes and the
+  byte layout of hash inputs are constants in the source, and
+  ``crc16`` hashes run table-driven over that layout.
 
 What is *not* baked in: table entries, default actions, and register
-contents.  Those stay live behind the closures, so the Mantis agent's
-shadow-flip writes (add/modify/delete/set_default) take effect on the
-very next lookup with no recompilation or invalidation protocol.
+contents.  The generated code reads them per packet from the stable
+containers (``TableRuntime._exact_index``, ``RegisterArray.values``),
+so the Mantis agent's shadow-flip writes (add/modify/delete/
+set_default) take effect on the very next lookup with no
+recompilation or invalidation protocol.
+
+One emitter serves every flavour: the per-packet controls, their
+profiled (counter-incrementing) and stepped (generator) variants,
+per-table applies, and the constant-folded ``(action, args)`` runners
+of the batch tiers.  The emitter is total over the interpreter's
+primitive set; what it cannot render (a non-field destination, an
+unbound parameter, an unknown primitive) becomes a ``raise`` at the
+point the interpreter would raise, never a load-time failure or a
+whole-program veto.  Compiled code objects are cached by source text,
+so a fleet of identical switches compiles each function once.
 
 The tree-walking :class:`~repro.switch.pipeline.PipelineExecutor`
 remains the reference semantics; :func:`run_differential` replays one
@@ -31,75 +41,53 @@ in lockstep.
 
 :class:`~repro.switch.columnar.ColumnarPipeline` builds on this
 engine: it reuses the op-major admission (:meth:`batch_major_ops`),
-the fused scalar sweeps as its fallback path, and the resolved step
-closures for per-lane drains, replacing only the batch inner loops
-with numpy struct-of-arrays sweeps.
+the fused scalar sweeps as its fallback path, and the fused runners
+for per-lane drains, replacing only the batch inner loops with numpy
+struct-of-arrays sweeps.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from contextlib import contextmanager
+from functools import lru_cache
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import SwitchError
 from repro.p4 import ast
-from repro.switch.hashing import compute_hash
+from repro.switch.hashing import CRC16_TABLE, _byte_layout, compute_hash
 from repro.switch.packet import Packet
 
 _DROP = "standard_metadata.drop_flag"
 
-# A compiled primitive step: (action_args, packet) -> None.
+# A generated action: (action_args, packet) -> None.
 StepFn = Callable[[List[int], Packet], None]
-# A compiled control-block op: (packet) -> None.
+# A generated control block or table apply: (packet) -> None.
 OpFn = Callable[[Packet], None]
 
 # An op-major batch op: one table applied across a whole burst
 # (dropped packets skipped), amortizing the per-packet apply frame.
 BatchOpFn = Callable[[List[Packet]], None]
 
-# Binary operators with the interpreter's exact semantics: comparisons
-# and boolean connectives produce ints, arithmetic is unbounded (width
-# masking happens at field writes, not inside expressions).
-_BIN_FNS: Dict[str, Callable[[int, int], int]] = {
-    "==": lambda l, r: 1 if l == r else 0,
-    "!=": lambda l, r: 1 if l != r else 0,
-    "<": lambda l, r: 1 if l < r else 0,
-    "<=": lambda l, r: 1 if l <= r else 0,
-    ">": lambda l, r: 1 if l > r else 0,
-    ">=": lambda l, r: 1 if l >= r else 0,
-    "&&": lambda l, r: 1 if l and r else 0,
-    "||": lambda l, r: 1 if l or r else 0,
-    "+": lambda l, r: l + r,
-    "-": lambda l, r: l - r,
-    "&": lambda l, r: l & r,
-    "|": lambda l, r: l | r,
-    "^": lambda l, r: l ^ r,
-    "<<": lambda l, r: l << r,
-    ">>": lambda l, r: l >> r,
-}
+# A rendered operand: a compile-time integer or a source expression.
+Operand = Union[int, str]
 
-_ARITH_FNS: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda l, r: l + r,
-    "subtract": lambda l, r: l - r,
-    "bit_and": lambda l, r: l & r,
-    "bit_or": lambda l, r: l | r,
-    "bit_xor": lambda l, r: l ^ r,
-    "shift_left": lambda l, r: l << r,
-    "shift_right": lambda l, r: l >> r,
-    "min": min,
-    "max": max,
-}
+# Condition operators with the interpreter's exact semantics:
+# comparisons and connectives produce 0/1 (both sides always
+# evaluated), arithmetic is unbounded (width masking happens at field
+# writes, not inside expressions).
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+_CONNECTIVES = {"&&": "&", "||": "|"}
+_INT_OPS = ("+", "-", "&", "|", "^", "<<", ">>")
 
-# Source templates mirroring _ARITH_FNS for the action fuser, which
-# emits flat Python instead of stacking closures.
 _ARITH_EXPRS: Dict[str, str] = {
-    "add": "({l} + {r})",
-    "subtract": "({l} - {r})",
-    "bit_and": "({l} & {r})",
-    "bit_or": "({l} | {r})",
-    "bit_xor": "({l} ^ {r})",
-    "shift_left": "({l} << {r})",
-    "shift_right": "({l} >> {r})",
+    "add": "{l} + {r}",
+    "subtract": "{l} - {r}",
+    "bit_and": "{l} & {r}",
+    "bit_or": "{l} | {r}",
+    "bit_xor": "{l} ^ {r}",
+    "shift_left": "{l} << {r}",
+    "shift_right": "{l} >> {r}",
     "min": "min({l}, {r})",
     "max": "max({l}, {r})",
 }
@@ -136,41 +124,6 @@ class PipelineProfile:
         }
 
 
-def _counting_op(fn: "OpFn", counts: Dict[str, int], name: str) -> "OpFn":
-    counts[name] = 0
-
-    def counted(packet: Packet, _fn=fn, _counts=counts, _name=name) -> None:
-        _counts[_name] += 1
-        _fn(packet)
-
-    return counted
-
-
-def _counting_step(fn: "StepFn", counts: Dict[str, int], name: str) -> "StepFn":
-    counts[name] = 0
-
-    def counted(
-        args: List[int], packet: Packet, _fn=fn, _counts=counts, _name=name
-    ) -> None:
-        _counts[_name] += 1
-        _fn(args, packet)
-
-    return counted
-
-
-_UNSET = object()
-
-
-def _const_int(arg, params: Dict[str, int]) -> Optional[int]:
-    """The compile-time integer value of a primitive argument once
-    action parameters are bound, or ``None`` if it is packet-dependent."""
-    if isinstance(arg, int):
-        return arg
-    if isinstance(arg, str):
-        return params.get(arg)
-    return None
-
-
 def _tables_in(statements) -> Iterator[str]:
     """All table names applied anywhere in a statement list (recursing
     through conditionals)."""
@@ -182,24 +135,504 @@ def _tables_in(statements) -> Iterator[str]:
             yield from _tables_in(stmt.else_body)
 
 
-def _raising_step(message: str) -> StepFn:
-    """A step that raises when *executed* -- semantic errors the
-    interpreter only reports at run time must not become load-time
-    failures in the compiled engine."""
+# ---- generated-source plumbing ---------------------------------------------
 
-    def step(args: List[int], packet: Packet) -> None:
-        raise SwitchError(message)
 
-    return step
+def _raise(message: str) -> int:
+    """Raise from expression position: semantic errors the interpreter
+    only reports at run time must not become load-time failures."""
+    raise SwitchError(message)
+
+
+def _arity_error(name: str, n_params: int, args) -> SwitchError:
+    return SwitchError(
+        f"action {name}: expected {n_params} args, got {len(args)}"
+    )
+
+
+@lru_cache(maxsize=512)
+def _code_for(source: str, label: str):
+    """Compiled module code for one generated function, shared by every
+    pipeline that emits the same text (code objects hold no live
+    state; each pipeline execs them into its own namespace)."""
+    return compile(source, label, "exec")
+
+
+# Names every generated function may use; per-function live objects
+# (tables, register lists, the RNG) are added by _Emitter.bind.
+_BASE_ENV: Dict[str, object] = {
+    "__builtins__": {},
+    "__name__": __name__,
+    "len": len,
+    "min": min,
+    "max": max,
+    "_raise": _raise,
+    "_arity_error": _arity_error,
+    "_compute_hash": compute_hash,
+    "_CRC16": CRC16_TABLE,
+}
+
+
+def _raising(message: str) -> str:
+    """Source of an expression that raises ``message`` when reached."""
+    return f"_raise({message!r})"
+
+
+def _lit(value: Operand) -> str:
+    """Source text of an operand (negative constants parenthesized so
+    they compose under any operator)."""
+    if isinstance(value, int) and value < 0:
+        return f"({value})"
+    return str(value)
+
+
+class _Emitter:
+    """One generated function under construction: indented source
+    lines, the live objects they reference by name, and the lowering
+    of every statement, expression and primitive into those lines.
+
+    Inside the generated code ``p`` is the packet, ``f`` its field
+    dict, ``n``/``a`` the action name and live argument list the last
+    apply resolved; ``_``-prefixed names are scratch temporaries."""
+
+    def __init__(self, pipeline: "CompiledPipeline", header: str):
+        self.asic = pipeline.asic
+        self.rng = pipeline.rng
+        self.profile = pipeline.profile
+        self.run_action = pipeline._run_action
+        self.lines = [header]
+        self.depth = 1
+        self.env: Dict[str, object] = {}
+        self._names: Dict[int, str] = {}
+        # Per action body: how each parameter renders, and the field
+        # keys the body has stored so far (reads of those index the
+        # dict directly instead of defaulting).
+        self.params: Dict[str, Operand] = {}
+        self.present: set = set()
+
+    # ---- source plumbing ---------------------------------------------------
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    @contextmanager
+    def block(self, opener: str):
+        self.emit(opener)
+        self.depth += 1
+        mark = len(self.lines)
+        yield
+        if len(self.lines) == mark:
+            self.emit("pass")
+        self.depth -= 1
+
+    def bind(self, obj: object) -> str:
+        """A stable name for a live object.  Names are numbered in
+        first-use order, so identical programs emit identical text."""
+        name = self._names.get(id(obj))
+        if name is None:
+            name = self._names[id(obj)] = f"_o{len(self._names)}"
+            self.env[name] = obj
+        return name
+
+    def count(self, counts: Dict[str, int], name: str) -> None:
+        self.emit(f"{self.bind(counts)}[{name!r}] += 1")
+
+    def function(self, label: str):
+        if len(self.lines) == 1:
+            self.emit("pass")
+        namespace = dict(_BASE_ENV)
+        namespace.update(self.env)
+        exec(  # noqa: S102 - source assembled from parsed P4 only
+            _code_for("\n".join(self.lines) + "\n", label), namespace
+        )
+        return namespace["_fn"]
+
+    # ---- statements --------------------------------------------------------
+
+    def statements(
+        self, body: List[ast.Statement], stepped: bool = False,
+        checked: bool = False,
+    ) -> None:
+        """Statements in order, with the drop check before each one.
+        Once the flag is up nothing further runs at any nesting level,
+        so a plain ``return`` is the interpreter's per-level early exit;
+        ``checked`` elides the check right after a condition (which
+        cannot change fields)."""
+        for stmt in body:
+            if not checked:
+                self.emit(f"if f[{_DROP!r}]: return")
+            checked = False
+            if isinstance(stmt, ast.ApplyCall):
+                if stepped:
+                    self.emit(f"yield ('apply', {stmt.table!r})")
+                self.apply(stmt.table)
+            elif isinstance(stmt, ast.IfBlock):
+                with self.block(f"if {self.expr(stmt.cond)}:"):
+                    self.statements(stmt.then_body, stepped, True)
+                if stmt.else_body:
+                    with self.block("else:"):
+                        self.statements(stmt.else_body, stepped, True)
+            else:  # pragma: no cover - parser emits only the kinds above
+                raise SwitchError(f"unknown statement {stmt!r}")
+
+    def apply(self, table_name: str) -> None:
+        """Match one table and run the resolved action inline."""
+        runtime = self.asic.tables.get(table_name)
+        if runtime is None:
+            raise SwitchError(f"unknown table {table_name!r}")
+        if self.profile is not None:
+            self.count(self.profile.table_applies, table_name)
+        table = self.bind(runtime)
+        key = self.key(runtime.decl.reads)
+        if runtime._exact_only:
+            # Probe the hash index directly.  The dict object is stable
+            # (TableRuntime mutates it in place, never rebinds it), so
+            # entry adds/deletes stay live; hit/miss accounting and the
+            # (rebindable) default action go through the runtime.
+            self.emit(f"e = {self.bind(runtime._exact_index)}.get({key})")
+            with self.block("if e is not None:"):
+                self.emit(f"{table}.hits += 1")
+                self.emit("n = e.action_name")
+                self.emit("a = e.action_args")
+            with self.block("else:"):
+                self.emit(f"{table}.misses += 1")
+                self.emit(f"r = {table}.default_action")
+                self.emit("if r is None: n = None")
+                self.emit("else: n, a = r")
+        else:
+            # lookup_key owns ternary/lpm/range matching and counts.
+            self.emit(f"r = {table}.lookup_key({key})")
+            self.emit("if r is None: n = None")
+            self.emit("else: n, a = r")
+        decl = runtime.decl
+        names = list(decl.action_names)
+        if decl.default_action and decl.default_action[0] not in names:
+            names.append(decl.default_action[0])
+        actions = self.asic.program.actions
+        opener = "if"
+        for name in names:
+            if name in actions:
+                with self.block(f"{opener} n == {name!r}:"):
+                    self.action(actions[name])
+                opener = "elif"
+        # Anything else the control plane managed to install: the
+        # generic path reports unknown actions like the interpreter.
+        with self.block(f"{opener} n is not None:"):
+            self.emit(f"{self.bind(self.run_action)}(n, a, p)")
+
+    def key(self, reads: List[ast.TableRead]) -> str:
+        """A table's lookup key as a tuple display."""
+        parts = []
+        for read in reads:
+            if read.match_type is ast.MatchType.VALID:
+                parts.append(f"{read.ref.header!r} in p.valid_headers")
+            elif read.mask is None:
+                parts.append(self.field(read.ref))
+            else:
+                parts.append(f"{self.field(read.ref)} & {read.mask}")
+        return "(" + "".join(f"{part}, " for part in parts) + ")"
+
+    # ---- expressions ---------------------------------------------------------
+
+    def field(self, ref: ast.FieldRef) -> str:
+        """Unset fields read as 0 (bmv2 uninitialized metadata).
+        Intrinsic metadata is always set (every :class:`Packet` is
+        built with it), as is whatever the current body stored."""
+        key = f"{ref.header}.{ref.field}"
+        if ref.header == "standard_metadata" or key in self.present:
+            return f"f[{key!r}]"
+        return f"f.get({key!r}, 0)"
+
+    def expr(self, expr) -> str:
+        """An ``if`` condition operand as an int-valued expression."""
+        if isinstance(expr, int):
+            return _lit(expr)
+        if isinstance(expr, ast.FieldRef):
+            return self.field(expr)
+        if isinstance(expr, ast.ValidRef):
+            return f"(1 if {expr.header!r} in p.valid_headers else 0)"
+        if isinstance(expr, ast.BinOp):
+            left = self.expr(expr.left)
+            right = self.expr(expr.right)
+            op = expr.op
+            if op in _COMPARISONS:
+                return f"(1 if {left} {op} {right} else 0)"
+            if op in _CONNECTIVES:
+                return (
+                    f"(1 if ({left} != 0) {_CONNECTIVES[op]} "
+                    f"({right} != 0) else 0)"
+                )
+            if op in _INT_OPS:
+                return f"({left} {op} {right})"
+            return _raising(f"unknown condition operator {op!r}")
+        return _raising(f"cannot evaluate expression {expr!r}")
+
+    def value(self, arg) -> Operand:
+        """A primitive argument: an ``int`` when known at emit time,
+        else a source expression over ``p``/``f``/``a``."""
+        if isinstance(arg, int):
+            return arg
+        if isinstance(arg, ast.FieldRef):
+            return self.field(arg)
+        if isinstance(arg, str):
+            if arg in self.params:
+                return self.params[arg]
+            return _raising(f"unresolved action parameter {arg!r}")
+        return _raising(f"cannot resolve primitive argument {arg!r}")
+
+    def dst(self, arg) -> Optional[Tuple[str, Optional[int]]]:
+        """Pre-resolve a destination field to ``(key, width_mask)``.
+        Anything but a field reference emits the interpreter's error
+        and returns ``None``: the caller has nothing left to emit."""
+        if not isinstance(arg, ast.FieldRef):
+            self.emit(_raising(
+                f"primitive destination must be a field, got {arg!r}"
+            ))
+            return None
+        key = f"{arg.header}.{arg.field}"
+        return key, self.asic.field_masks.get(key)
+
+    def store(self, dst: Tuple[str, Optional[int]], value: Operand,
+              within: int = -1) -> None:
+        """``dst = value`` under the destination's width mask.
+        ``within`` is a mask the value is known to fit already."""
+        key, mask = dst
+        if mask is not None and within & ~mask:
+            value = (
+                value & mask if isinstance(value, int)
+                else f"({value}) & {mask}"
+            )
+        self.emit(f"f[{key!r}] = {_lit(value)}")
+        self.present.add(key)
+
+    # ---- actions -----------------------------------------------------------
+
+    def action(
+        self, decl: ast.ActionDecl, args: Optional[tuple] = None
+    ) -> None:
+        """One action body.  With ``args`` every parameter folds to a
+        constant (the batch tiers' resolved runners; the caller checked
+        the arity); without, parameters read the live list ``a``."""
+        if args is not None:
+            self.params = dict(zip(decl.params, args))
+        else:
+            if self.profile is not None:
+                self.count(self.profile.action_runs, decl.name)
+            n_params = len(decl.params)
+            mismatch = f"len(a) != {n_params}" if n_params else "a"
+            self.emit(
+                f"if {mismatch}: "
+                f"raise _arity_error({decl.name!r}, {n_params}, a)"
+            )
+            self.params = {
+                name: f"a[{position}]"
+                for position, name in enumerate(decl.params)
+            }
+        self.present = set()
+        for call in decl.body:
+            self.call(call)
+        self.present = set()
+
+    def call(self, call: ast.PrimitiveCall) -> None:
+        """Source lines for one primitive call, statement for statement
+        what ``PipelineExecutor._run_primitive`` does."""
+        name = call.name
+        args = call.args
+        asic = self.asic
+
+        if name == "no_op":
+            return
+        if name == "drop":
+            self.store((_DROP, None), 1)
+            return
+        if name in _FLAG_KEYS:
+            self.store((_FLAG_KEYS[name], None), 1)
+            return
+
+        if name == "modify_field":
+            dst = self.dst(args[0])
+            if dst is None:
+                return
+            value = self.value(args[1])
+            if len(args) > 2:
+                # Masked form: only the masked bits are written.
+                mask = _lit(self.value(args[2]))
+                value = (
+                    f"({self.field(args[0])} & ~{mask}) | "
+                    f"({_lit(value)} & {mask})"
+                )
+            self.store(dst, value)
+            return
+
+        if name in _ARITH_EXPRS:
+            dst = self.dst(args[0])
+            if dst is not None:
+                value = _ARITH_EXPRS[name].format(
+                    l=_lit(self.value(args[1])), r=_lit(self.value(args[2]))
+                )
+                self.store(dst, value)
+            return
+
+        if name in ("add_to_field", "subtract_from_field"):
+            dst = self.dst(args[0])
+            if dst is not None:
+                sign = "+" if name == "add_to_field" else "-"
+                self.store(
+                    dst,
+                    f"{self.field(args[0])} {sign} "
+                    f"{_lit(self.value(args[1]))}",
+                )
+            return
+
+        if name == "register_write":
+            register = asic.get_register(args[0])
+            # The values list is a stable object (RegisterArray only
+            # mutates it in place), so indexing it directly skips the
+            # read/write method dispatch on every packet.
+            values = self.bind(register.values)
+            size = len(register.values)
+            index = self.value(args[1])
+            value = _lit(self.value(args[2]))
+            if isinstance(index, int) and 0 <= index < size:
+                self.emit(f"{values}[{index}] = {value} & {register.mask}")
+                return
+            self.emit(f"_i = {index}")
+            self.emit(f"_v = {value}")
+            self.emit(
+                f"if 0 <= _i < {size}: {values}[_i] = _v & {register.mask}"
+            )
+            # Out of range: the method raises the range error.
+            self.emit(f"else: {self.bind(register)}.write(_i, _v)")
+            return
+
+        if name == "register_read":
+            dst = self.dst(args[0])
+            if dst is None:
+                return
+            register = asic.get_register(args[1])
+            values = self.bind(register.values)
+            size = len(register.values)
+            index = self.value(args[2])
+            if isinstance(index, int) and 0 <= index < size:
+                value = f"{values}[{index}]"
+            else:
+                self.emit(f"_i = {index}")
+                value = (
+                    f"{values}[_i] if 0 <= _i < {size} "
+                    f"else {self.bind(register)}.read(_i)"
+                )
+            self.store(dst, value, within=register.mask)
+            return
+
+        if name == "count":
+            counter = asic.get_counter(args[0])
+            array = counter.array
+            values = self.bind(array.values)
+            size = len(array.values)
+            amount = "p.size_bytes" if counter.counter_type == "bytes" else "1"
+            index = self.value(args[1])
+            if isinstance(index, int) and 0 <= index < size:
+                self.emit(
+                    f"{values}[{index}] = "
+                    f"({values}[{index}] + {amount}) & {array.mask}"
+                )
+                return
+            self.emit(f"_i = {index}")
+            self.emit(
+                f"if 0 <= _i < {size}: {values}[_i] = "
+                f"({values}[_i] + {amount}) & {array.mask}"
+            )
+            self.emit(f"else: {self.bind(array)}.increment(_i, {amount})")
+            return
+
+        if name == "modify_field_with_hash_based_offset":
+            self.hash(call)
+            return
+
+        if name == "modify_field_rng_uniform":
+            dst = self.dst(args[0])
+            if dst is not None:
+                self.store(
+                    dst,
+                    f"{self.bind(self.rng)}.randint("
+                    f"{self.value(args[1])}, {self.value(args[2])})",
+                )
+            return
+
+        self.emit(_raising(f"unsupported primitive action {name!r}"))
+
+    def hash(self, call: ast.PrimitiveCall) -> None:
+        """``dst = base + hash(field list) % size``.  The field list's
+        widths fix the serialized byte layout, so ``crc16`` (the P4-14
+        default) unrolls into one table step per byte; other
+        algorithms call :func:`compute_hash` on the same inputs."""
+        program = self.asic.program
+        dst = self.dst(call.args[0])
+        if dst is None:
+            return
+        base = self.value(call.args[1])
+        size = self.value(call.args[3])
+        calc = program.field_list_calcs.get(call.args[2])
+        if calc is None:
+            self.emit(_raising(
+                f"unknown field_list_calculation {call.args[2]!r}"
+            ))
+            return
+        inputs: List[Tuple[str, int]] = []  # (source expression, bits)
+        for list_name in calc.inputs:
+            for ref in program.field_lists[list_name].entries:
+                if not isinstance(ref, ast.FieldRef):
+                    self.emit(_raising(
+                        f"cannot hash non-field reference {ref!r}"
+                    ))
+                    return
+                width_mask = self.asic.field_masks.get(
+                    f"{ref.header}.{ref.field}", (1 << 32) - 1
+                )
+                inputs.append((self.field(ref), width_mask.bit_length()))
+        out_mask = (1 << calc.output_width) - 1
+        if calc.algorithm == "crc16" and inputs:
+            for position, (source, _bits) in enumerate(inputs):
+                self.emit(f"_v{position} = {source}")
+            first = True
+            for position, shift in _byte_layout([b for _s, b in inputs]):
+                # The top byte of a field keeps only its declared bits.
+                keep = min(0xFF, (1 << (inputs[position][1] - shift)) - 1)
+                byte = f"((_v{position} >> {shift}) & {keep})"
+                if first:  # one step from the 0xFFFF preset, folded
+                    self.emit(f"_c = 0xFF00 ^ _CRC16[0xFF ^ {byte}]")
+                    first = False
+                else:
+                    self.emit(
+                        f"_c = ((_c << 8) & 0xFF00) ^ "
+                        f"_CRC16[(_c >> 8) ^ {byte}]"
+                    )
+            hashed = "_c" if out_mask & 0xFFFF == 0xFFFF else f"(_c & {out_mask})"
+        else:
+            pairs = "".join(f"({source}, {bits}), " for source, bits in inputs)
+            hashed = (
+                f"_compute_hash({calc.algorithm!r}, [{pairs}], "
+                f"{calc.output_width})"
+            )
+        if isinstance(size, int):
+            offset = f"{hashed} % {_lit(size)}" if size else hashed
+        else:
+            self.emit(f"_h = {hashed}")
+            self.emit(f"_m = {size}")
+            offset = "(_h % _m if _m else _h)"
+        if base != 0:
+            offset = f"{_lit(base)} + {offset}"
+        self.store(dst, offset)
 
 
 class CompiledPipeline:
     """The compiled execution engine for one ASIC's program.
 
     API-compatible with :class:`~repro.switch.pipeline.PipelineExecutor`
-    (``run_control`` / ``iter_control`` / ``apply_table`` /
-    ``run_action``), so :class:`~repro.switch.asic.SwitchAsic` can
-    select either engine behind one attribute.
+    (``run_control`` / ``bound_control`` / ``iter_control`` /
+    ``apply_table`` / ``run_action``), so
+    :class:`~repro.switch.asic.SwitchAsic` can select either engine
+    behind one attribute.
     """
 
     def __init__(
@@ -212,44 +645,27 @@ class CompiledPipeline:
         self.rng = rng if rng is not None else random.Random(0)
         self.profile = profile
         program = asic.program
-        # Raw (steps, n_params) per action, recorded by _compile_action:
-        # the batch applies execute resolved step tuples directly,
-        # skipping the per-call action frame.
-        self._action_steps: Dict[str, Tuple[Tuple[StepFn, ...], int]] = {}
-        self._actions: Dict[str, StepFn] = {
-            name: self._compile_action(decl)
-            for name, decl in program.actions.items()
-        }
         if profile is not None:
-            # Wrap actions before applies compile (applies capture the
-            # actions dict) and applies before controls compile
-            # (controls capture apply closures), so every execution
-            # path routes through the counters.
-            self._actions = {
-                name: _counting_step(fn, profile.action_runs, name)
-                for name, fn in self._actions.items()
-            }
-        self._applies: Dict[str, OpFn] = {
-            name: self._compile_apply(runtime)
-            for name, runtime in asic.tables.items()
+            profile.control_runs.update(dict.fromkeys(program.controls, 0))
+            profile.table_applies.update(dict.fromkeys(asic.tables, 0))
+            profile.action_runs.update(dict.fromkeys(program.actions, 0))
+        # One bound-method object, so generated code that falls back to
+        # it binds a single name.
+        self._run_action = self.run_action
+        # Per-action and per-table functions are generated on first
+        # use: the controls inline what they need, so only the batch
+        # tiers, non-exact fallbacks and the public API ask for them.
+        self._actions: Dict[str, StepFn] = {}
+        self._applies: Dict[str, OpFn] = {}
+        self._stepped: Dict[str, Callable] = {}
+        self._controls: Dict[str, OpFn] = {
+            name: self._build_control(name, decl.body)
+            for name, decl in program.controls.items()
         }
-        if profile is not None:
-            self._applies = {
-                name: _counting_op(fn, profile.table_applies, name)
-                for name, fn in self._applies.items()
-            }
-        self._controls: Dict[str, OpFn] = {}
-        self._stepped: Dict[str, List] = {}
-        for name, decl in program.controls.items():
-            compiled = self._compile_block(decl.body)
-            if profile is not None:
-                compiled = _counting_op(compiled, profile.control_runs, name)
-            self._controls[name] = compiled
-            self._stepped[name] = self._compile_stepped(decl.body)
         # Batch execution plans: one op tuple per control, with fused
         # memoizing applies for exact-match tables.  Not built under
         # profiling -- the profiled run must route every packet through
-        # the counting closures, so batch_ops() reports no plan and the
+        # the counting controls, so batch_ops() reports no plan and the
         # batch driver falls back to the instrumented scalar path.
         self._batch_memos: List[Dict[object, tuple]] = []
         self._batch_plans: Dict[str, Tuple[OpFn, ...]] = {}
@@ -259,12 +675,12 @@ class CompiledPipeline:
         # batches because the generated code depends only on the action
         # declaration and stable asic containers (register/counter
         # value lists), never on table entries.
-        self._fused_runners: Dict[Tuple[Optional[str], tuple], object] = {}
-        self._fused_sweeps: Dict[Tuple[Optional[str], tuple], object] = {}
+        self._fused_runners: Dict[Tuple[Optional[str], tuple], Callable] = {}
+        self._fused_sweeps: Dict[Tuple[Optional[str], tuple], Callable] = {}
         if profile is None:
             for name, decl in program.controls.items():
                 self._batch_plans[name] = tuple(
-                    self._compile_batch_ops(decl.body)
+                    self._compile_batch_ops(name, decl.body)
                 )
             self._batch_major_plans["ingress"] = self._compile_batch_major(
                 program.controls.get("ingress"),
@@ -280,12 +696,9 @@ class CompiledPipeline:
             run(packet)
 
     def bound_control(self, control_name: str) -> Optional[OpFn]:
-        """The compiled closure for one control block, or ``None`` if
-        the program does not define it.
-
-        The batch path hoists this lookup out of its packet loop: one
-        bind per burst instead of a dict probe (plus a call frame for
-        absent controls) per packet."""
+        """The generated function for one control block, or ``None`` if
+        the program does not define it.  The ASIC binds these once per
+        executor, so the per-packet path is one call per control."""
         return self._controls.get(control_name)
 
     def iter_control(
@@ -294,60 +707,71 @@ class CompiledPipeline:
         """Stepped execution with the interpreter's contract: yields
         ``("apply", table)`` *before* each table application so callers
         can interleave control-plane operations mid-pipeline."""
-        steps = self._stepped.get(control_name)
-        if steps is not None:
-            yield from _run_stepped(steps, packet)
+        stepped = self._stepped.get(control_name)
+        if stepped is None:
+            decl = self.asic.program.controls.get(control_name)
+            if decl is None:
+                return
+            stepped = self._stepped[control_name] = self._build_control(
+                control_name, decl.body, stepped=True
+            )
+        yield from stepped(packet)
 
-    def _compile_block(self, statements: List[ast.Statement]) -> OpFn:
-        ops = self._compile_ops(statements)
-        if not ops:
-            return _noop
-        if len(ops) == 1:
-            only = ops[0]
+    def apply_table(self, table_name: str, packet: Packet) -> None:
+        self._apply_fn(table_name)(packet)
 
-            def run_one(packet: Packet, _op: OpFn = only) -> None:
-                if not packet.fields[_DROP]:
-                    _op(packet)
+    def run_action(
+        self, action_name: str, action_args: List[int], packet: Packet
+    ) -> None:
+        action = self._actions.get(action_name)
+        if action is None:
+            decl = self.asic.program.actions.get(action_name)
+            if decl is None:
+                raise SwitchError(f"unknown action {action_name!r}")
+            out = _Emitter(self, "def _fn(a, p):")
+            out.emit("f = p.fields")
+            out.action(decl)
+            action = self._actions[action_name] = out.function(
+                f"<p4 action {action_name}>"
+            )
+        action(action_args, packet)
 
-            return run_one
+    def _apply_fn(self, table_name: str) -> OpFn:
+        """One table's apply as a standalone function (the controls
+        inline theirs; batch plans and ``apply_table`` call this)."""
+        apply = self._applies.get(table_name)
+        if apply is None:
+            out = _Emitter(self, "def _fn(p):")
+            out.emit("f = p.fields")
+            out.apply(table_name)
+            apply = self._applies[table_name] = out.function(
+                f"<p4 apply {table_name}>"
+            )
+        return apply
 
-        def run(packet: Packet, _ops: Tuple[OpFn, ...] = tuple(ops)) -> None:
-            fields = packet.fields
-            for op in _ops:
-                if fields[_DROP]:
-                    return
-                op(packet)
+    def _build_control(
+        self, name: str, statements: List[ast.Statement],
+        stepped: bool = False,
+    ):
+        """Generate one control block: ``fn(packet)``, or with
+        ``stepped`` a generator function yielding before each apply."""
+        out = _Emitter(self, "def _fn(p):")
+        out.emit("f = p.fields")
+        if self.profile is not None:
+            out.count(self.profile.control_runs, name)
+        out.statements(statements, stepped)
+        if stepped:
+            # Unreachable, but makes a control without applies a
+            # generator function too.
+            out.emit("return")
+            out.emit("yield")
+        return out.function(f"<p4 control {name}>")
 
-        return run
-
-    def _compile_ops(self, statements: List[ast.Statement]) -> List[OpFn]:
-        ops: List[OpFn] = []
-        for stmt in statements:
-            if isinstance(stmt, ast.ApplyCall):
-                ops.append(self._apply_fn(stmt.table))
-            elif isinstance(stmt, ast.IfBlock):
-                cond = self._compile_expr(stmt.cond)
-                then_fn = self._compile_block(stmt.then_body)
-                else_fn = self._compile_block(stmt.else_body)
-                if isinstance(cond, int):  # constant condition: fold
-                    ops.append(then_fn if cond else else_fn)
-                else:
-
-                    def branch(
-                        packet: Packet,
-                        _c=cond,
-                        _t: OpFn = then_fn,
-                        _e: OpFn = else_fn,
-                    ) -> None:
-                        if _c(packet):
-                            _t(packet)
-                        else:
-                            _e(packet)
-
-                    ops.append(branch)
-            else:  # pragma: no cover - parser emits only the kinds above
-                raise SwitchError(f"unknown statement {stmt!r}")
-        return ops
+    def _key_fn(self, reads: List[ast.TableRead]) -> Callable[[Packet], tuple]:
+        out = _Emitter(self, "def _fn(p):")
+        out.emit("f = p.fields")
+        out.emit(f"return {out.key(reads)}")
+        return out.function("<p4 key>")
 
     # ---- batch execution --------------------------------------------------
 
@@ -356,9 +780,9 @@ class CompiledPipeline:
 
         Table entries and default actions are control-plane state, and
         the control plane cannot run inside a batch, so for the life of
-        one batch each key resolves to a fixed (action steps, args)
-        pair.  The memos must not outlive the batch -- the agent may
-        rewrite entries between bursts."""
+        one batch each key resolves to a fixed (matched, runner) pair.
+        The memos must not outlive the batch -- the agent may rewrite
+        entries between bursts."""
         for memo in self._batch_memos:
             memo.clear()
 
@@ -372,7 +796,7 @@ class CompiledPipeline:
         return self._batch_plans.get(control_name, ())
 
     def _compile_batch_ops(
-        self, statements: List[ast.Statement]
+        self, control_name: str, statements: List[ast.Statement]
     ) -> List[OpFn]:
         ops: List[OpFn] = []
         for stmt in statements:
@@ -382,319 +806,91 @@ class CompiledPipeline:
                     raise SwitchError(f"unknown table {stmt.table!r}")
                 ops.append(self._compile_batch_apply(runtime))
             elif isinstance(stmt, ast.IfBlock):
-                # Branches are off the common forward path: reuse the
-                # scalar op (its sub-blocks go through scalar applies).
-                ops.extend(self._compile_ops([stmt]))
+                # Branches are off the common forward path: the whole
+                # statement runs as one generated scalar function.
+                ops.append(self._build_control(control_name, [stmt]))
             else:  # pragma: no cover - parser emits only the kinds above
                 raise SwitchError(f"unknown statement {stmt!r}")
         return ops
 
     def _make_resolver(self, runtime):
-        """A ``key_tuple -> (matched, steps, args, fused)`` resolver
-        for one exact-only table; memoized per batch by the callers.
+        """A ``key_tuple -> (matched, run)`` resolver for one
+        exact-only table; memoized per batch by the callers.
 
-        ``fused`` is the flat specialized runner for the resolved
-        (action, args) pair -- see :meth:`_fuse_runner` -- or ``None``
-        when the action body has a shape the fuser does not cover, in
-        which case callers fall back to the generic step loop."""
-        resolve_steps = self._resolve_steps
+        ``run`` is the flat specialized runner for the resolved
+        (action, args) pair -- see :meth:`_fuse_runner` -- a no-op on a
+        miss without a default.  Unknown actions and arity mismatches
+        raise here, once per (table, key) per batch."""
         fuse = self._fuse_runner
         index = runtime._exact_index
 
         def resolve(key_tuple, _runtime=runtime, _index=index):
             entry = _index.get(key_tuple)
-            if entry is None:
-                result = _runtime.default_action
-                if result is None:
-                    return (False, (), (), None)
-                name, args = result
-                return (
-                    False,
-                    resolve_steps(name, args),
-                    args,
-                    fuse(name, tuple(args)),
-                )
-            name = entry.action_name
-            args = entry.action_args
-            return (
-                True,
-                resolve_steps(name, args),
-                args,
-                fuse(name, tuple(args)),
-            )
+            if entry is not None:
+                return True, fuse(entry.action_name, tuple(entry.action_args))
+            result = _runtime.default_action
+            if result is None:
+                return False, fuse(None, ())
+            name, args = result
+            return False, fuse(name, tuple(args))
 
         return resolve
-
-    def _resolve_steps(
-        self, action_name: str, action_args: List[int]
-    ) -> Tuple[StepFn, ...]:
-        """Pre-flight an action for memoized execution: same unknown-
-        action and arity errors as the compiled run fns, paid once per
-        (table, key) per batch instead of once per packet."""
-        entry = self._action_steps.get(action_name)
-        if entry is None:
-            raise SwitchError(f"unknown action {action_name!r}")
-        steps, n_params = entry
-        if len(action_args) != n_params:
-            raise SwitchError(
-                f"action {action_name}: expected {n_params} args, "
-                f"got {len(action_args)}"
-            )
-        return steps
 
     # ---- action fusion ----------------------------------------------------
     #
     # Once a batch resolver has pinned a (action, args) pair, every
-    # action parameter is a known integer, so the whole primitive
-    # sequence can be emitted as one flat Python function -- no step
-    # dispatch, no argument closures, constants folded in the source.
-    # This is the reproduction's version of the paper's precomputation
-    # argument (SS6): resolve once, then run straight-line code.
+    # action parameter is a known integer, so the emitter renders the
+    # body with constants folded into the source.  This is the
+    # reproduction's version of the paper's precomputation argument
+    # (SS6): resolve once, then run straight-line code.
 
-    def _fuse_runner(self, action_name, args: tuple):
-        """A fused per-packet runner ``fn(packet, fields)`` for one
-        resolved action, or ``None`` if the body is not fusable."""
-        cache = self._fused_runners
+    def _fuse_runner(self, action_name: Optional[str], args: tuple):
+        """The per-packet runner ``fn(packet, fields)`` for one
+        resolved action (``None``: run nothing)."""
         key = (action_name, args)
-        fn = cache.get(key, _UNSET)
-        if fn is _UNSET:
-            fn = cache[key] = self._build_fused(action_name, args, False)
+        fn = self._fused_runners.get(key)
+        if fn is None:
+            fn = self._fused_runners[key] = self._build_fused(
+                action_name, args, False
+            )
         return fn
 
-    def _fuse_sweep(self, action_name, args: tuple):
-        """A fused whole-batch sweep ``fn(packets) -> live_count`` for
-        one resolved keyless action (``None`` action name means
+    def _fuse_sweep(self, action_name: Optional[str], args: tuple):
+        """The whole-batch sweep ``fn(packets) -> live_count`` for one
+        resolved keyless action (``None`` action name means
         miss-with-no-default: count live packets, run nothing)."""
-        cache = self._fused_sweeps
         key = (action_name, args)
-        fn = cache.get(key, _UNSET)
-        if fn is _UNSET:
-            fn = cache[key] = self._build_fused(action_name, args, True)
+        fn = self._fused_sweeps.get(key)
+        if fn is None:
+            fn = self._fused_sweeps[key] = self._build_fused(
+                action_name, args, True
+            )
         return fn
 
-    def _build_fused(self, action_name, args: tuple, sweep: bool):
-        if action_name is None:
-            body: List[str] = []
-        else:
-            decl = self.asic.program.actions.get(action_name)
-            if decl is None or len(decl.params) != len(args):
-                return None
-            params = dict(zip(decl.params, args))
-            env: Dict[str, object] = {"min": min, "max": max}
-            body = []
-            for call in decl.body:
-                if not self._fuse_call(call, params, env, body):
-                    return None
-        if sweep:
-            inner = "".join(f"        {line}\n" for line in body)
-            src = (
-                "def _fused(packets):\n"
-                "    live = 0\n"
-                "    for p in packets:\n"
-                "        f = p.fields\n"
-                f"        if f[{_DROP!r}]:\n"
-                "            continue\n"
-                "        live += 1\n"
-                f"{inner}"
-                "    return live\n"
-            )
-        else:
-            inner = "".join(f"    {line}\n" for line in body) or "    pass\n"
-            src = f"def _fused(p, f):\n{inner}"
-        namespace: Dict[str, object] = {"__builtins__": {}}
+    def _build_fused(self, action_name: Optional[str], args: tuple,
+                     sweep: bool):
+        decl = None
         if action_name is not None:
-            namespace.update(env)
-        exec(  # noqa: S102 - source assembled from parsed P4 only
-            compile(src, f"<fused {action_name}>", "exec"), namespace
-        )
-        return namespace["_fused"]
-
-    def _fuse_value(self, arg, params: Dict[str, int]) -> Optional[str]:
-        """Render a primitive argument as a source expression over the
-        per-packet locals ``p``/``f``; ``None`` if not renderable."""
-        if isinstance(arg, int):
-            return repr(arg)
-        if isinstance(arg, ast.FieldRef):
-            return f"f.get({arg.header + '.' + arg.field!r}, 0)"
-        if isinstance(arg, str) and arg in params:
-            return repr(params[arg])
-        return None
-
-    def _fuse_call(
-        self,
-        call: ast.PrimitiveCall,
-        params: Dict[str, int],
-        env: Dict[str, object],
-        body: List[str],
-    ) -> bool:
-        """Emit source lines for one primitive call; ``False`` when the
-        shape is outside the fusable subset (caller falls back to the
-        generic step loop)."""
-        name = call.name
-        args = call.args
-        asic = self.asic
-
-        if name == "no_op":
-            return True
-        if name == "drop":
-            body.append(f"f[{_DROP!r}] = 1")
-            return True
-        if name in _FLAG_KEYS:
-            body.append(f"f[{_FLAG_KEYS[name]!r}] = 1")
-            return True
-
-        if name == "modify_field":
-            dst = self._dst(args[0])
-            if dst is None:
-                return False
-            key, mask = dst
-            value = self._fuse_value(args[1], params)
-            if value is None:
-                return False
-            if len(args) > 2:
-                extra = self._fuse_value(args[2], params)
-                if extra is None:
-                    return False
-                value = f"({value} & {extra})"
-            if mask is not None:
-                value = f"({value}) & {mask}"
-            body.append(f"f[{key!r}] = {value}")
-            return True
-
-        if name in _ARITH_EXPRS:
-            dst = self._dst(args[0])
-            if dst is None:
-                return False
-            key, mask = dst
-            left = self._fuse_value(args[1], params)
-            right = self._fuse_value(args[2], params)
-            if left is None or right is None:
-                return False
-            value = _ARITH_EXPRS[name].format(l=left, r=right)
-            if mask is not None:
-                value = f"{value} & {mask}"
-            body.append(f"f[{key!r}] = {value}")
-            return True
-
-        if name in ("add_to_field", "subtract_from_field"):
-            dst = self._dst(args[0])
-            if dst is None:
-                return False
-            key, mask = dst
-            delta = self._fuse_value(args[1], params)
-            if delta is None:
-                return False
-            sign = "+" if name == "add_to_field" else "-"
-            value = f"(f.get({key!r}, 0) {sign} {delta})"
-            if mask is not None:
-                value = f"{value} & {mask}"
-            body.append(f"f[{key!r}] = {value}")
-            return True
-
-        if name == "register_write":
-            register = asic.get_register(args[0])
-            values = register.values
-            size = len(values)
-            width_mask = register.mask
-            index = self._fuse_value(args[1], params)
-            value = self._fuse_value(args[2], params)
-            if index is None or value is None:
-                return False
-            vals_name = f"_o{len(env)}"
-            env[vals_name] = values
-            const_index = _const_int(args[1], params)
-            if const_index is not None and 0 <= const_index < size:
-                body.append(
-                    f"{vals_name}[{const_index}] = ({value}) & {width_mask}"
-                )
-                return True
-            reg_name = f"_o{len(env)}"
-            env[reg_name] = register
-            body.extend(
-                [
-                    f"_i = {index}",
-                    f"_v = {value}",
-                    f"if 0 <= _i < {size}:",
-                    f"    {vals_name}[_i] = _v & {width_mask}",
-                    "else:",
-                    f"    {reg_name}.write(_i, _v)",
-                ]
-            )
-            return True
-
-        if name == "register_read":
-            dst = self._dst(args[0])
-            if dst is None:
-                return False
-            key, mask = dst
-            register = asic.get_register(args[1])
-            values = register.values
-            size = len(values)
-            index = self._fuse_value(args[2], params)
-            if index is None:
-                return False
-            vals_name = f"_o{len(env)}"
-            env[vals_name] = values
-            const_index = _const_int(args[2], params)
-            if const_index is not None and 0 <= const_index < size:
-                value = f"{vals_name}[{const_index}]"
-                if mask is not None:
-                    value = f"{value} & {mask}"
-                body.append(f"f[{key!r}] = {value}")
-                return True
-            reg_name = f"_o{len(env)}"
-            env[reg_name] = register
-            value = (
-                f"({vals_name}[_i] if 0 <= _i < {size} "
-                f"else {reg_name}.read(_i))"
-            )
-            if mask is not None:
-                value = f"{value} & {mask}"
-            body.extend([f"_i = {index}", f"f[{key!r}] = {value}"])
-            return True
-
-        if name == "count":
-            counter = asic.get_counter(args[0])
-            array = counter.array
-            values = array.values
-            width_mask = array.mask
-            amount = "p.size_bytes" if counter.counter_type == "bytes" else "1"
-            index = self._fuse_value(args[1], params)
-            if index is None:
-                return False
-            const_index = _const_int(args[1], params)
-            if const_index is not None and 0 <= const_index < len(values):
-                vals_name = f"_o{len(env)}"
-                env[vals_name] = values
-                body.append(
-                    f"{vals_name}[{const_index}] = "
-                    f"({vals_name}[{const_index}] + {amount}) & {width_mask}"
-                )
-                return True
-            arr_name = f"_o{len(env)}"
-            env[arr_name] = array
-            body.append(f"{arr_name}.increment({index}, {amount})")
-            return True
-
-        if name == "modify_field_rng_uniform":
-            dst = self._dst(args[0])
-            if dst is None:
-                return False
-            key, mask = dst
-            lo = self._fuse_value(args[1], params)
-            hi = self._fuse_value(args[2], params)
-            if lo is None or hi is None:
-                return False
-            env["_rng"] = self.rng
-            value = f"_rng.randint({lo}, {hi})"
-            if mask is not None:
-                value = f"({value}) & {mask}"
-            body.append(f"f[{key!r}] = {value}")
-            return True
-
-        # Hash offsets and anything unrecognized keep their compiled
-        # step closures.
-        return False
+            decl = self.asic.program.actions.get(action_name)
+            if decl is None:
+                raise SwitchError(f"unknown action {action_name!r}")
+            if len(decl.params) != len(args):
+                raise _arity_error(action_name, len(decl.params), args)
+        if not sweep:
+            out = _Emitter(self, "def _fn(p, f):")
+            if decl is not None:
+                out.action(decl, args)
+        else:
+            out = _Emitter(self, "def _fn(packets):")
+            out.emit("live = 0")
+            with out.block("for p in packets:"):
+                out.emit("f = p.fields")
+                out.emit(f"if f[{_DROP!r}]: continue")
+                out.emit("live += 1")
+                if decl is not None:
+                    out.action(decl, args)
+            out.emit("return live")
+        return out.function(f"<p4 fused {action_name}>")
 
     def _compile_batch_apply(self, runtime) -> OpFn:
         """A batch-specialized table apply.
@@ -731,20 +927,16 @@ class CompiledPipeline:
                 hit = _memo.get(key)
                 if hit is None:
                     hit = _memo[key] = _resolve((key,))
-                matched, steps, args, fused = hit
+                matched, run = hit
                 if matched:
                     _runtime.hits += 1
                 else:
                     _runtime.misses += 1
-                if fused is not None:
-                    fused(packet, fields)
-                else:
-                    for step in steps:
-                        step(args, packet)
+                run(packet, fields)
 
             return apply_fused
 
-        build_key = self._compile_key(reads)
+        build_key = self._key_fn(reads)
 
         def apply_memoized(
             packet: Packet,
@@ -757,16 +949,12 @@ class CompiledPipeline:
             hit = _memo.get(key)
             if hit is None:
                 hit = _memo[key] = _resolve(key)
-            matched, steps, args, fused = hit
+            matched, run = hit
             if matched:
                 _runtime.hits += 1
             else:
                 _runtime.misses += 1
-            if fused is not None:
-                fused(packet, packet.fields)
-            else:
-                for step in steps:
-                    step(args, packet)
+            run(packet, packet.fields)
 
         return apply_memoized
 
@@ -882,7 +1070,6 @@ class CompiledPipeline:
             # Keyless (Mantis init/collect tables, RMW accounting): one
             # resolution covers the whole sweep, and the fused variant
             # runs the entire action body inline inside one batch loop.
-            resolve_steps = self._resolve_steps
             fuse_sweep = self._fuse_sweep
             memo: Dict[object, tuple] = {}
             self._batch_memos.append(memo)
@@ -905,23 +1092,11 @@ class CompiledPipeline:
                         matched = False
                         default = _runtime.default_action
                         name, args = default if default else (None, ())
-                    if name is None:
-                        steps: tuple = ()
-                    else:
-                        steps = resolve_steps(name, args)
-                    sweep = fuse_sweep(name, tuple(args))
-                    hit = _memo[()] = (matched, steps, tuple(args), sweep)
-                matched, steps, args, sweep = hit
-                if sweep is not None:
-                    live = sweep(packets)
-                else:
-                    live = 0
-                    for packet in packets:
-                        if packet.fields[_DROP]:
-                            continue
-                        live += 1
-                        for step in steps:
-                            step(args, packet)
+                    hit = _memo[()] = (
+                        matched, fuse_sweep(name, tuple(args))
+                    )
+                matched, sweep = hit
+                live = sweep(packets)
                 if matched:
                     _runtime.hits += live
                 else:
@@ -958,16 +1133,12 @@ class CompiledPipeline:
                     hit = get(key)
                     if hit is None:
                         hit = _memo[key] = _resolve((key,))
-                    matched, steps, args, fused = hit
+                    matched, run = hit
                     if matched:
                         hits += 1
                     else:
                         misses += 1
-                    if fused is not None:
-                        fused(packet, fields)
-                    else:
-                        for step in steps:
-                            step(args, packet)
+                    run(packet, fields)
                 _runtime.hits += hits
                 _runtime.misses += misses
 
@@ -996,22 +1167,18 @@ class CompiledPipeline:
                     hit = get(key)
                     if hit is None:
                         hit = _memo[key] = _resolve(key)
-                    matched, steps, args, fused = hit
+                    matched, run = hit
                     if matched:
                         hits += 1
                     else:
                         misses += 1
-                    if fused is not None:
-                        fused(packet, fields)
-                    else:
-                        for step in steps:
-                            step(args, packet)
+                    run(packet, fields)
                 _runtime.hits += hits
                 _runtime.misses += misses
 
             return major_pair
 
-        build_key = self._compile_key(reads)
+        build_key = self._key_fn(reads)
 
         def major_generic(
             packets: List[Packet],
@@ -1030,637 +1197,16 @@ class CompiledPipeline:
                 hit = get(key)
                 if hit is None:
                     hit = _memo[key] = _resolve(key)
-                matched, steps, args, fused = hit
+                matched, run = hit
                 if matched:
                     hits += 1
                 else:
                     misses += 1
-                if fused is not None:
-                    fused(packet, packet.fields)
-                else:
-                    for step in steps:
-                        step(args, packet)
+                run(packet, packet.fields)
             _runtime.hits += hits
             _runtime.misses += misses
 
         return major_generic
-
-    def _compile_stepped(self, statements: List[ast.Statement]) -> List:
-        """Compile to generator-producing steps for ``iter_control``."""
-        steps = []
-        for stmt in statements:
-            if isinstance(stmt, ast.ApplyCall):
-                apply_fn = self._apply_fn(stmt.table)
-
-                def step(packet: Packet, _name=stmt.table, _apply=apply_fn):
-                    yield ("apply", _name)
-                    _apply(packet)
-
-                steps.append(step)
-            elif isinstance(stmt, ast.IfBlock):
-                cond = self._compile_expr(stmt.cond)
-                then_steps = self._compile_stepped(stmt.then_body)
-                else_steps = self._compile_stepped(stmt.else_body)
-
-                def step(
-                    packet: Packet,
-                    _c=cond,
-                    _t=then_steps,
-                    _e=else_steps,
-                ):
-                    taken = _t if (_c if isinstance(_c, int) else _c(packet)) else _e
-                    yield from _run_stepped(taken, packet)
-
-                steps.append(step)
-            else:  # pragma: no cover - parser emits only the kinds above
-                raise SwitchError(f"unknown statement {stmt!r}")
-        return steps
-
-    # ---- tables -----------------------------------------------------------
-
-    def _apply_fn(self, table_name: str) -> OpFn:
-        if table_name not in self._applies:
-            raise SwitchError(f"unknown table {table_name!r}")
-        return self._applies[table_name]
-
-    def apply_table(self, table_name: str, packet: Packet) -> None:
-        self._apply_fn(table_name)(packet)
-
-    def _compile_apply(self, runtime) -> OpFn:
-        build_key = self._compile_key(runtime.decl.reads)
-        actions = self._actions
-
-        if runtime._exact_only:
-            # Exact-only tables: probe the hash index directly.  The
-            # dict object itself is stable (TableRuntime mutates it in
-            # place, never rebinds it), so closing over it keeps entry
-            # adds/deletes live; hit/miss accounting and the
-            # (rebindable) default action go through the runtime.
-            index = runtime._exact_index
-
-            def apply_exact(
-                packet: Packet,
-                _runtime=runtime,
-                _key=build_key,
-                _index=index,
-                _actions=actions,
-            ) -> None:
-                entry = _index.get(_key(packet))
-                if entry is None:
-                    _runtime.misses += 1
-                    result = _runtime.default_action
-                    if result is None:
-                        return
-                    action_name, action_args = result
-                else:
-                    _runtime.hits += 1
-                    action_name = entry.action_name
-                    action_args = entry.action_args
-                action = _actions.get(action_name)
-                if action is None:
-                    raise SwitchError(f"unknown action {action_name!r}")
-                action(action_args, packet)
-
-            return apply_exact
-
-        def apply(
-            packet: Packet,
-            _runtime=runtime,
-            _key=build_key,
-            _actions=actions,
-        ) -> None:
-            result = _runtime.lookup_key(_key(packet))
-            if result is None:
-                return
-            action_name, action_args = result
-            action = _actions.get(action_name)
-            if action is None:
-                raise SwitchError(f"unknown action {action_name!r}")
-            action(action_args, packet)
-
-        return apply
-
-    def _compile_key(
-        self, reads: List[ast.TableRead]
-    ) -> Callable[[Packet], tuple]:
-        extractors = []
-        for read in reads:
-            if read.match_type is ast.MatchType.VALID:
-                extractors.append(
-                    lambda p, _h=read.ref.header: _h in p.valid_headers
-                )
-            else:
-                ref = read.ref
-                key = f"{ref.header}.{ref.field}"
-                if read.mask is None:
-                    extractors.append(lambda p, _k=key: p.fields.get(_k, 0))
-                else:
-                    extractors.append(
-                        lambda p, _k=key, _m=read.mask: p.fields.get(_k, 0) & _m
-                    )
-        if not extractors:
-            return lambda packet: ()
-        if len(extractors) == 1:
-            only = extractors[0]
-            return lambda packet, _e=only: (_e(packet),)
-        if len(extractors) == 2:
-            first, second = extractors
-            return lambda packet, _a=first, _b=second: (
-                _a(packet), _b(packet),
-            )
-        if len(extractors) == 3:
-            first, second, third = extractors
-            return lambda packet, _a=first, _b=second, _c=third: (
-                _a(packet), _b(packet), _c(packet),
-            )
-        parts = tuple(extractors)
-        return lambda packet, _parts=parts: tuple(e(packet) for e in _parts)
-
-    # ---- expressions ------------------------------------------------------
-
-    def _compile_expr(self, expr):
-        """Compile an ``if`` condition operand.
-
-        Returns an ``int`` for constant subtrees (folded) or a closure
-        ``packet -> int``.
-        """
-        if isinstance(expr, int):
-            return expr
-        if isinstance(expr, ast.FieldRef):
-            key = f"{expr.header}.{expr.field}"
-            return lambda p, _k=key: p.fields.get(_k, 0)
-        if isinstance(expr, ast.ValidRef):
-            header = expr.header
-            return lambda p, _h=header: 1 if _h in p.valid_headers else 0
-        if isinstance(expr, ast.BinOp):
-            fn = _BIN_FNS.get(expr.op)
-            if fn is None:
-                raise SwitchError(f"unknown condition operator {expr.op!r}")
-            left = self._compile_expr(expr.left)
-            right = self._compile_expr(expr.right)
-            if isinstance(left, int) and isinstance(right, int):
-                return fn(left, right)
-            lf = _expr_fn(left)
-            rf = _expr_fn(right)
-            return lambda p, _l=lf, _r=rf, _f=fn: _f(_l(p), _r(p))
-        if isinstance(expr, ast.MalleableRef):
-            message = (
-                f"malleable reference {expr} reached the data plane; "
-                "the program was not compiled by the Mantis compiler"
-            )
-
-            def leaked(p, _m=message):
-                raise SwitchError(_m)
-
-            return leaked
-        raise SwitchError(f"cannot evaluate expression {expr!r}")
-
-    # ---- actions ----------------------------------------------------------
-
-    def run_action(
-        self, action_name: str, action_args: List[int], packet: Packet
-    ) -> None:
-        action = self._actions.get(action_name)
-        if action is None:
-            raise SwitchError(f"unknown action {action_name!r}")
-        action(action_args, packet)
-
-    def _compile_action(self, action: ast.ActionDecl) -> StepFn:
-        param_index = {name: i for i, name in enumerate(action.params)}
-        steps = tuple(
-            self._compile_primitive(call, param_index) for call in action.body
-        )
-        n_params = len(action.params)
-        name = action.name
-        self._action_steps[name] = (steps, n_params)
-
-        if len(steps) == 1:
-            only = steps[0]
-
-            def run_one(
-                args: List[int], packet: Packet, _step: StepFn = only
-            ) -> None:
-                if len(args) != n_params:
-                    raise SwitchError(
-                        f"action {name}: expected {n_params} args, "
-                        f"got {len(args)}"
-                    )
-                _step(args, packet)
-
-            return run_one
-
-        def run(args: List[int], packet: Packet) -> None:
-            if len(args) != n_params:
-                raise SwitchError(
-                    f"action {name}: expected {n_params} args, "
-                    f"got {len(args)}"
-                )
-            for step in steps:
-                step(args, packet)
-
-        return run
-
-    # ---- primitive arguments ---------------------------------------------
-
-    def _compile_arg(self, arg, param_index: Dict[str, int]):
-        """Compile a primitive argument to an ``int`` constant or a
-        closure ``(args, packet) -> int``."""
-        if isinstance(arg, int):
-            return arg
-        if isinstance(arg, ast.FieldRef):
-            key = f"{arg.header}.{arg.field}"
-            return lambda a, p, _k=key: p.fields.get(_k, 0)
-        if isinstance(arg, str):
-            if arg in param_index:
-                index = param_index[arg]
-                return lambda a, p, _i=index: a[_i]
-
-            def unresolved(a, p, _arg=arg):
-                raise SwitchError(f"unresolved action parameter {_arg!r}")
-
-            return unresolved
-        if isinstance(arg, ast.MalleableRef):
-            message = (
-                f"malleable reference {arg} reached the data plane; "
-                "compile the program with the Mantis compiler first"
-            )
-
-            def leaked(a, p, _m=message):
-                raise SwitchError(_m)
-
-            return leaked
-
-        def bad(a, p, _arg=arg):
-            raise SwitchError(f"cannot resolve primitive argument {_arg!r}")
-
-        return bad
-
-    def _dst(self, arg) -> Optional[Tuple[str, Optional[int]]]:
-        """Pre-resolve a destination field to ``(key, width_mask)``;
-        ``None`` when the argument is not a field reference."""
-        if not isinstance(arg, ast.FieldRef):
-            return None
-        key = f"{arg.header}.{arg.field}"
-        return key, self.asic.field_masks.get(key)
-
-    def _store(self, key: str, mask: Optional[int], value_fn) -> StepFn:
-        """A step writing ``value_fn(args, packet)`` to a field, with
-        the width mask (resolved at compile time) applied inline."""
-        if mask is None:
-
-            def step(a, p, _k=key, _v=value_fn):
-                p.fields[_k] = _v(a, p)
-
-        else:
-
-            def step(a, p, _k=key, _m=mask, _v=value_fn):
-                p.fields[_k] = _v(a, p) & _m
-
-        return step
-
-    # ---- primitives -------------------------------------------------------
-
-    def _compile_primitive(
-        self, call: ast.PrimitiveCall, params: Dict[str, int]
-    ) -> StepFn:
-        name = call.name
-        args = call.args
-        asic = self.asic
-
-        if name == "no_op":
-            return _noop_step
-        if name == "drop":
-
-            def drop_step(a, p):
-                p.fields[_DROP] = 1
-
-            return drop_step
-
-        if name in ("recirculate", "clone_ingress_pkt_to_egress", "mark_ecn"):
-            flag = {
-                "recirculate": "standard_metadata.recirculate_flag",
-                "clone_ingress_pkt_to_egress": "standard_metadata.clone_flag",
-                "mark_ecn": "standard_metadata.ecn_marked",
-            }[name]
-
-            def flag_step(a, p, _k=flag):
-                p.fields[_k] = 1
-
-            return flag_step
-
-        if name == "modify_field":
-            dst = self._dst(args[0])
-            if dst is None:
-                return _raising_step(
-                    f"primitive destination must be a field, got {args[0]!r}"
-                )
-            key, mask = dst
-            value = self._compile_arg(args[1], params)
-            extra = (
-                self._compile_arg(args[2], params) if len(args) > 2 else None
-            )
-            if extra is None and isinstance(value, int):
-                constant = value if mask is None else value & mask
-
-                def const_step(a, p, _k=key, _c=constant):
-                    p.fields[_k] = _c
-
-                return const_step
-            value_fn = _arg_fn(value)
-            if extra is None:
-                return self._store(key, mask, value_fn)
-            extra_fn = _arg_fn(extra)
-            return self._store(
-                key,
-                mask,
-                lambda a, p, _v=value_fn, _e=extra_fn: _v(a, p) & _e(a, p),
-            )
-
-        if name in _ARITH_FNS:
-            dst = self._dst(args[0])
-            if dst is None:
-                return _raising_step(
-                    f"primitive destination must be a field, got {args[0]!r}"
-                )
-            key, mask = dst
-            op = _ARITH_FNS[name]
-            if isinstance(args[1], ast.FieldRef) and isinstance(
-                args[2], ast.FieldRef
-            ):
-                # Both sources are fields (the dominant shape, e.g.
-                # ``add(x, x, pkt_len)``): one flat closure, no
-                # per-operand indirection.
-                left_key = f"{args[1].header}.{args[1].field}"
-                right_key = f"{args[2].header}.{args[2].field}"
-                if mask is None:
-
-                    def arith_ff(
-                        a, p, _k=key, _a=left_key, _b=right_key, _op=op
-                    ):
-                        fields = p.fields
-                        fields[_k] = _op(
-                            fields.get(_a, 0), fields.get(_b, 0)
-                        )
-
-                    return arith_ff
-
-                def arith_ff_masked(
-                    a, p, _k=key, _a=left_key, _b=right_key, _op=op, _m=mask
-                ):
-                    fields = p.fields
-                    fields[_k] = (
-                        _op(fields.get(_a, 0), fields.get(_b, 0)) & _m
-                    )
-
-                return arith_ff_masked
-            left = _arg_fn(self._compile_arg(args[1], params))
-            right = _arg_fn(self._compile_arg(args[2], params))
-            return self._store(
-                key,
-                mask,
-                lambda a, p, _l=left, _r=right, _op=op: _op(_l(a, p), _r(a, p)),
-            )
-
-        if name in ("add_to_field", "subtract_from_field"):
-            dst = self._dst(args[0])
-            if dst is None:
-                return _raising_step(
-                    f"primitive destination must be a field, got {args[0]!r}"
-                )
-            key, mask = dst
-            delta = _arg_fn(self._compile_arg(args[1], params))
-            sign = 1 if name == "add_to_field" else -1
-            return self._store(
-                key,
-                mask,
-                lambda a, p, _k=key, _d=delta, _s=sign: (
-                    p.fields.get(_k, 0) + _s * _d(a, p)
-                ),
-            )
-
-        if name == "register_write":
-            register = asic.get_register(args[0])
-            # The values list is a stable object (RegisterArray only
-            # mutates it in place), so closing over it skips the
-            # read/write method dispatch on every packet.
-            values = register.values
-            width_mask = register.mask
-            index = self._compile_arg(args[1], params)
-            value = self._compile_arg(args[2], params)
-            if isinstance(index, int) and 0 <= index < len(values):
-                if isinstance(args[2], ast.FieldRef):
-                    value_key = f"{args[2].header}.{args[2].field}"
-
-                    def reg_write_const_field(
-                        a, p, _vals=values, _i=index, _vk=value_key,
-                        _m=width_mask,
-                    ):
-                        _vals[_i] = p.fields.get(_vk, 0) & _m
-
-                    return reg_write_const_field
-                value_fn = _arg_fn(value)
-
-                def reg_write_const(
-                    a, p, _vals=values, _i=index, _v=value_fn, _m=width_mask
-                ):
-                    _vals[_i] = _v(a, p) & _m
-
-                return reg_write_const
-            index_fn = _arg_fn(index)
-            value_fn = _arg_fn(value)
-            size = len(values)
-
-            def reg_write_step(
-                a, p, _vals=values, _i=index_fn, _v=value_fn,
-                _m=width_mask, _n=size, _r=register,
-            ):
-                idx = _i(a, p)
-                val = _v(a, p)
-                if 0 <= idx < _n:
-                    _vals[idx] = val & _m
-                else:
-                    _r.write(idx, val)  # raises the range error
-
-            return reg_write_step
-
-        if name == "register_read":
-            dst = self._dst(args[0])
-            if dst is None:
-                return _raising_step(
-                    f"primitive destination must be a field, got {args[0]!r}"
-                )
-            key, mask = dst
-            register = asic.get_register(args[1])
-            values = register.values
-            index = self._compile_arg(args[2], params)
-            if isinstance(index, int) and 0 <= index < len(values):
-                if mask is None:
-
-                    def reg_read_const(a, p, _k=key, _vals=values, _i=index):
-                        p.fields[_k] = _vals[_i]
-
-                    return reg_read_const
-
-                def reg_read_const_masked(
-                    a, p, _k=key, _vals=values, _i=index, _m=mask
-                ):
-                    p.fields[_k] = _vals[_i] & _m
-
-                return reg_read_const_masked
-            index_fn = _arg_fn(index)
-            size = len(values)
-            if mask is None:
-
-                def reg_read_step(
-                    a, p, _k=key, _vals=values, _i=index_fn, _n=size,
-                    _r=register,
-                ):
-                    idx = _i(a, p)
-                    p.fields[_k] = (
-                        _vals[idx] if 0 <= idx < _n else _r.read(idx)
-                    )
-
-                return reg_read_step
-
-            def reg_read_step_masked(
-                a, p, _k=key, _vals=values, _i=index_fn, _n=size,
-                _r=register, _m=mask,
-            ):
-                idx = _i(a, p)
-                p.fields[_k] = (
-                    _vals[idx] if 0 <= idx < _n else _r.read(idx)
-                ) & _m
-
-            return reg_read_step_masked
-
-        if name == "count":
-            counter = asic.get_counter(args[0])
-            array = counter.array
-            values = array.values
-            width_mask = array.mask
-            count_bytes = counter.counter_type == "bytes"
-            index = self._compile_arg(args[1], params)
-            if isinstance(index, int) and 0 <= index < len(values):
-                if count_bytes:
-
-                    def count_bytes_const(
-                        a, p, _vals=values, _i=index, _m=width_mask
-                    ):
-                        _vals[_i] = (_vals[_i] + p.size_bytes) & _m
-
-                    return count_bytes_const
-
-                def count_pkts_const(
-                    a, p, _vals=values, _i=index, _m=width_mask
-                ):
-                    _vals[_i] = (_vals[_i] + 1) & _m
-
-                return count_pkts_const
-            index_fn = _arg_fn(index)
-
-            def count_step(a, p, _arr=array, _i=index_fn, _bytes=count_bytes):
-                _arr.increment(_i(a, p), p.size_bytes if _bytes else 1)
-
-            return count_step
-
-        if name == "modify_field_with_hash_based_offset":
-            return self._compile_hash(call, params)
-
-        if name == "modify_field_rng_uniform":
-            dst = self._dst(args[0])
-            if dst is None:
-                return _raising_step(
-                    f"primitive destination must be a field, got {args[0]!r}"
-                )
-            key, mask = dst
-            lo = _arg_fn(self._compile_arg(args[1], params))
-            hi = _arg_fn(self._compile_arg(args[2], params))
-            rng = self.rng
-            return self._store(
-                key,
-                mask,
-                lambda a, p, _lo=lo, _hi=hi, _rng=rng: _rng.randint(
-                    _lo(a, p), _hi(a, p)
-                ),
-            )
-
-        return _raising_step(f"unsupported primitive action {name!r}")
-
-    def _compile_hash(
-        self, call: ast.PrimitiveCall, params: Dict[str, int]
-    ) -> StepFn:
-        program = self.asic.program
-        dst = self._dst(call.args[0])
-        if dst is None:
-            return _raising_step(
-                f"primitive destination must be a field, got {call.args[0]!r}"
-            )
-        key, mask = dst
-        base = _arg_fn(self._compile_arg(call.args[1], params))
-        calc_name = call.args[2]
-        size = _arg_fn(self._compile_arg(call.args[3], params))
-        if calc_name not in program.field_list_calcs:
-            return _raising_step(
-                f"unknown field_list_calculation {calc_name!r}"
-            )
-        calc = program.field_list_calcs[calc_name]
-        inputs: List[Tuple[str, int]] = []
-        for list_name in calc.inputs:
-            for ref in program.field_lists[list_name].entries:
-                if not isinstance(ref, ast.FieldRef):
-                    return _raising_step(
-                        f"cannot hash non-field reference {ref!r}"
-                    )
-                field_key = f"{ref.header}.{ref.field}"
-                width_mask = self.asic.field_masks.get(field_key, (1 << 32) - 1)
-                inputs.append((field_key, width_mask.bit_length()))
-        algorithm = calc.algorithm
-        output_width = calc.output_width
-        input_plan = tuple(inputs)
-
-        def value_fn(a, p, _in=input_plan, _alg=algorithm, _w=output_width,
-                     _base=base, _size=size):
-            fields = p.fields
-            hashed = compute_hash(
-                _alg, [(fields.get(k, 0), bits) for k, bits in _in], _w
-            )
-            modulus = _size(a, p)
-            return _base(a, p) + (hashed % modulus if modulus else hashed)
-
-        return self._store(key, mask, value_fn)
-
-
-# ---- module helpers -------------------------------------------------------
-
-
-def _noop(packet: Packet) -> None:
-    return None
-
-
-def _noop_step(args: List[int], packet: Packet) -> None:
-    return None
-
-
-def _expr_fn(value):
-    """Wrap a folded constant as a ``packet -> int`` closure."""
-    if isinstance(value, int):
-        return lambda p, _c=value: _c
-    return value
-
-
-def _arg_fn(value):
-    """Wrap a folded constant as an ``(args, packet) -> int`` closure."""
-    if isinstance(value, int):
-        return lambda a, p, _c=value: _c
-    return value
-
-
-def _run_stepped(steps, packet: Packet):
-    fields = packet.fields
-    for step in steps:
-        if fields[_DROP]:
-            return
-        yield from step(packet)
 
 
 # ---- differential testing hook --------------------------------------------

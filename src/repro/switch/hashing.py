@@ -47,21 +47,33 @@ def fields_to_bytes(values: Sequence[Tuple[int, int]]) -> bytes:
     return bytes(out)
 
 
+def _crc16_byte(byte: int) -> int:
+    crc = byte << 8
+    for _ in range(8):
+        if crc & 0x8000:
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+        else:
+            crc = (crc << 1) & 0xFFFF
+    return crc
+
+
+#: CRC-16/CCITT-FALSE byte table, shared by the scalar function, the
+#: vectorized variant and the pipeline compiler's inlined hash.
+CRC16_TABLE = tuple(_crc16_byte(byte) for byte in range(256))
+
+
 def crc16(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE, the P4-14 default hash."""
+    """CRC-16/CCITT-FALSE, the P4-14 default hash (byte at a time)."""
     crc = 0xFFFF
+    table = CRC16_TABLE
     for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
+        crc = ((crc << 8) & 0xFF00) ^ table[(crc >> 8) ^ byte]
     return crc
 
 
 def crc32(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
+
 
 def crc32_lsb(data: bytes) -> int:
     """Bit-reversed crc32 variant (a second independent hash family)."""
@@ -132,19 +144,6 @@ def _byte_layout(widths: Sequence[int]) -> List[Tuple[int, int]]:
     return layout
 
 
-def _crc16_table():
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return np.array(table, dtype=np.int64)
-
-
 def _crc32_table():
     table = []
     for byte in range(256):
@@ -181,7 +180,7 @@ def vector_hash_fn(
     layout = _byte_layout(widths)
 
     if algorithm == "crc16":
-        table = _crc16_table()
+        table = np.array(CRC16_TABLE, dtype=np.int64)
 
         def fn_crc16(columns):
             cols = _masked_columns(columns, widths)

@@ -64,6 +64,18 @@ class Packet:
                 self.fields[key] = value
                 self.valid_headers.add(key.split(".", 1)[0])
 
+    @classmethod
+    def from_template(cls, template: "PacketTemplate") -> "Packet":
+        """A fresh packet of a precomputed shape: one dict copy and one
+        set copy, no per-key header splitting.  Senders store their
+        per-packet fields (sequence numbers) after the copy."""
+        packet = cls.__new__(cls)
+        packet.packet_id = next(_packet_ids)
+        packet.fields = dict(template.fields)
+        packet.valid_headers = set(template.valid_headers)
+        packet.size_bytes = template.size_bytes
+        return packet
+
     def reinit(self, template: "PacketTemplate") -> "Packet":
         """Reset this packet in place from a precomputed template.
 

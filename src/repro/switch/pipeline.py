@@ -8,9 +8,9 @@ specialized actions) runs through this interpreter unchanged.
 This tree-walker is the *reference* implementation: it favours a
 direct correspondence with the AST over speed.  The production packet
 path is :class:`repro.switch.compiled.CompiledPipeline`, which lowers
-the same AST into closures once at load time and must stay
-behaviourally identical to this class (enforced by the differential
-tests in ``tests/switch/test_compiled.py``).
+the same AST into one generated function per control block at load
+time and must stay behaviourally identical to this class (enforced by
+the differential tests in ``tests/switch/test_compiled.py``).
 """
 
 from __future__ import annotations
@@ -44,6 +44,14 @@ class PipelineExecutor:
         """Run a control block to completion on one packet."""
         for _ in self.iter_control(control_name, packet):
             pass
+
+    def bound_control(self, control_name: str):
+        """``packet -> None`` for one control block, or ``None`` if the
+        program does not define it (the ASIC binds both controls once
+        per executor)."""
+        if control_name not in self.asic.program.controls:
+            return None
+        return lambda packet: self.run_control(control_name, packet)
 
     def iter_control(
         self, control_name: str, packet: Packet
@@ -193,9 +201,13 @@ class PipelineExecutor:
             return
         if name == "modify_field":
             value = self._resolve(args[1], params, packet)
+            dst = self._dst_ref(args[0])
             if len(args) > 2:
-                value &= self._resolve(args[2], params, packet)
-            self._write_field(self._dst_ref(args[0]), value, packet)
+                # P4-14 masked form: only the masked bits are written.
+                mask = self._resolve(args[2], params, packet)
+                current = packet.get(f"{dst.header}.{dst.field}")
+                value = (current & ~mask) | (value & mask)
+            self._write_field(dst, value, packet)
             return
         if name in ("add", "subtract", "bit_and", "bit_or", "bit_xor",
                     "shift_left", "shift_right", "min", "max"):

@@ -320,7 +320,7 @@ class TableRuntime:
         self, key: Tuple[KeyPart, ...]
     ) -> Optional[Tuple[str, List[int]]]:
         """Match an already-built lookup key (the compiled pipeline
-        extracts keys with its own precompiled closures)."""
+        extracts keys inline in its generated code)."""
         entry = self._match(key)
         if entry is not None:
             self.hits += 1
