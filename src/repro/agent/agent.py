@@ -79,6 +79,9 @@ class ReactionContext:
     - ``table``: malleable-table handles exposing
       ``add``/``modify``/``delete``/``addEntry``/... ;
     - ``now``: the simulated time in microseconds.
+
+    One context per reaction lives for the agent's lifetime; only
+    ``args`` is swapped each iteration.
     """
 
     def __init__(self, agent: "MantisAgent", args: Dict[str, object],
@@ -89,7 +92,7 @@ class ReactionContext:
 
     @property
     def now(self) -> float:
-        return self._agent.driver.clock.now
+        return self._agent._clock.now
 
     def read(self, name: str) -> int:
         return self._agent.read_malleable(name)
@@ -199,13 +202,14 @@ class _MirrorReader:
                 self.mirror.duplicate, offset + lo, offset + hi,
                 memo=self.memo_dup,
             )
-        for position, index in enumerate(range(lo, hi + 1)):
-            stamp = stamps[position]
-            if stamp > self.cache_ts[index]:
-                self.cache_ts[index] = stamp
-                self.cache_values[index] = values[position]
+        cache_ts, cache_values = self.cache_ts, self.cache_values
+        index = lo
+        for stamp, value in zip(stamps, values):
+            if stamp > cache_ts[index]:
+                cache_ts[index] = stamp
+                cache_values[index] = value
                 self._suspect[index] = 0
-            elif stamp < self.cache_ts[index] and stamp > self._last_raw[index]:
+            elif stamp < cache_ts[index] and stamp > self._last_raw[index]:
                 # The slot's sequence number demonstrably advanced yet
                 # still sits below our high-water mark, which means the
                 # cached stamp came from a corrupted read.  One sighting
@@ -213,22 +217,46 @@ class _MirrorReader:
                 # sightings resynchronize the cache.
                 self._suspect[index] += 1
                 if self._suspect[index] >= 2:
-                    self.cache_ts[index] = stamp
-                    self.cache_values[index] = values[position]
+                    cache_ts[index] = stamp
+                    cache_values[index] = value
                     self._suspect[index] = 0
             else:
                 self._suspect[index] = 0
             self._last_raw[index] = stamp
+            index += 1
         if seqs is not None:
             # Snapshot only after a *successful* full poll: a raise
             # above leaves the old snapshot, so the next poll re-reads.
             self._seq_cache[(lo, hi)] = seqs
-        return {index: self.cache_values[index] for index in range(lo, hi + 1)}
+        return self.cached(lo, hi)
 
     def cached(self, lo: int, hi: int) -> Dict[int, int]:
         """Last successfully polled values (fallback when the control
         channel fails mid-poll: stale but internally consistent)."""
-        return {index: self.cache_values[index] for index in range(lo, hi + 1)}
+        if lo == hi:
+            return {lo: self.cache_values[lo]}
+        return dict(zip(range(lo, hi + 1), self.cache_values[lo:hi + 1]))
+
+
+class _PollPlan:
+    """One reaction's measurement poll, resolved once in
+    ``prologue()``/``recover()`` so an iteration replays it without
+    scanning the spec.
+
+    ``reads`` are the distinct container registers in first-use order
+    as ``(register, memo)``; ``fields`` unpack the words they return,
+    ``(c_name, read index, shift, mask)`` in declaration order;
+    ``rest`` are the mirror and malleable arguments in declaration
+    order, ``(c_name, reader, lo, hi, param)`` with ``reader`` None for
+    a malleable (then ``param`` names its ``_param_values`` slot).
+    """
+
+    __slots__ = ("reads", "fields", "rest")
+
+    def __init__(self):
+        self.reads: List[Tuple[str, MemoHandle]] = []
+        self.fields: List[Tuple[str, int, int, int]] = []
+        self.rest: List[tuple] = []
 
 
 class _ReactionRuntime:
@@ -251,6 +279,8 @@ class _ReactionRuntime:
         # compiled engine binds its closure to this object once;
         # the agent resets it to None whenever handles/externs change.
         self.env: Optional[ReactionEnv] = None
+        self.context: Optional[ReactionContext] = None
+        self.plan = _PollPlan()
 
 
 class MantisAgent:
@@ -286,6 +316,7 @@ class MantisAgent:
         self.spec: ControlPlaneSpec = artifacts.spec
         self.artifacts = artifacts
         self.driver = driver
+        self._clock = driver.clock
         self.pacing_sleep_us = pacing_sleep_us
         self.verify_commits = verify_commits
         self.commit_retry_limit = commit_retry_limit
@@ -354,17 +385,25 @@ class MantisAgent:
             if init.master:
                 self._master = init
         self._master_memo: Optional[MemoHandle] = None
+        # Positions of the version bits in the master's args (bound in
+        # _bind_dialogue()).
+        self._vv_index = -1
+        self._mv_index = -1
         self._master_args: List[int] = []
         self._master_staged: Dict[int, int] = {}
         self._init_shadows: Dict[str, _InitShadow] = {}
         self._param_values: Dict[str, int] = {}
         self._param_width: Dict[str, int] = {}
-        self._param_home: Dict[str, Tuple[str, int]] = {}
+        # param -> (init table, is master, position in its args)
+        self._param_home: Dict[str, Tuple[str, bool, int]] = {}
         self._container_memos: Dict[str, MemoHandle] = {}
         self._container_cache: Dict[str, int] = {}
         self._mirror_readers: Dict[str, _MirrorReader] = {}
         self._tables: Dict[str, MalleableTableHandle] = {}
-        self._has_measurements = bool(self.spec.containers or self.spec.mirrors)
+        # The mv flip only exists for programs that measure something.
+        self._flips_mv = self._master is not None and bool(
+            self.spec.containers or self.spec.mirrors
+        )
         # Fault state: a committed-but-unmirrored flip (the old vv to
         # mirror onto), and the failure counters behind health().
         self._mirror_old_vv: Optional[int] = None
@@ -449,10 +488,12 @@ class MantisAgent:
 
         for init in self.spec.init_tables:
             memo = driver.memoize("table", init.table)
-            for param in init.params:
+            for position, param in enumerate(init.params):
                 self._param_values[param.name] = param.init
                 self._param_width[param.name] = param.width
-                self._param_home[param.name] = (init.table, init.master)
+                self._param_home[param.name] = (
+                    init.table, init.master, position
+                )
             if init.master:
                 self._master_memo = memo
                 self._master_args = [p.init for p in init.params]
@@ -475,16 +516,7 @@ class MantisAgent:
             for alt_index, action in enumerate(load.actions):
                 driver.add_entry(load.table, [alt_index], action, [], memo=memo)
 
-        for container in self.spec.containers:
-            self._container_memos[container.register] = driver.memoize(
-                "register", container.register
-            )
-        for mirror in self.spec.mirrors.values():
-            self._mirror_readers[mirror.original] = _MirrorReader(
-                driver, mirror, delta=self.delta_polling
-            )
-
-        self._make_table_handles()
+        self._bind_dialogue()
 
         self._prologue_done = True
         self._user_init = user_init
@@ -493,6 +525,57 @@ class MantisAgent:
             user_init(context)
             # Fold any user-staged configuration in atomically.
             self._commit()
+
+    def _bind_dialogue(self) -> None:
+        """Resolve, once, everything a dialogue iteration replays:
+        measurement memos and mirror readers, table handles, each
+        reaction's poll plan and the master's version-bit positions.
+        Shared by ``prologue()`` and ``recover()``, so a recovered
+        agent iterates exactly like one that never crashed."""
+        driver = self.driver
+        for container in self.spec.containers:
+            self._container_memos[container.register] = driver.memoize(
+                "register", container.register
+            )
+        for mirror in self.spec.mirrors.values():
+            self._mirror_readers[mirror.original] = _MirrorReader(
+                driver, mirror, delta=self.delta_polling
+            )
+        self._make_table_handles()
+        for runtime in self._reactions:
+            runtime.plan = self._poll_plan(runtime.spec)
+        if self._master is not None:
+            self._vv_index = self._master.param_index("vv")
+            self._mv_index = self._master.param_index("mv")
+
+    def _poll_plan(self, spec: ReactionSpec) -> _PollPlan:
+        plan = _PollPlan()
+        read_index: Dict[str, int] = {}
+        for arg, (source, key) in zip(spec.decl.args, spec.arg_sources):
+            if source == "container":
+                container, slot = self.spec.container_for(
+                    spec.name, arg.c_name
+                )
+                register = container.register
+                if register not in read_index:
+                    read_index[register] = len(plan.reads)
+                    plan.reads.append(
+                        (register, self._container_memos[register])
+                    )
+                plan.fields.append((
+                    arg.c_name, read_index[register], slot.shift,
+                    (1 << slot.width) - 1,
+                ))
+            elif source == "mirror":
+                plan.rest.append(
+                    (arg.c_name, self._mirror_readers[key], arg.lo, arg.hi,
+                     None)
+                )
+            elif source == "mbl":
+                plan.rest.append(
+                    (arg.c_name, None, 0, 0, self._resolve_param(key))
+                )
+        return plan
 
     def _make_table_handles(self) -> None:
         alt_counts = {
@@ -557,9 +640,11 @@ class MantisAgent:
         self.mv = self._master_args[master.param_index("mv")]
 
         for init in self.spec.init_tables:
-            for param in init.params:
+            for position, param in enumerate(init.params):
                 self._param_width[param.name] = param.width
-                self._param_home[param.name] = (init.table, init.master)
+                self._param_home[param.name] = (
+                    init.table, init.master, position
+                )
             if init.master:
                 for index, param in enumerate(init.params):
                     self._param_values[param.name] = self._master_args[index]
@@ -595,16 +680,7 @@ class MantisAgent:
 
         # Load tables are static and already installed; measurement
         # readers start cold and repopulate via the timestamp cache.
-        for container in self.spec.containers:
-            self._container_memos[container.register] = driver.memoize(
-                "register", container.register
-            )
-        for mirror in self.spec.mirrors.values():
-            self._mirror_readers[mirror.original] = _MirrorReader(
-                driver, mirror, delta=self.delta_polling
-            )
-
-        self._make_table_handles()
+        self._bind_dialogue()
         for handle in self._tables.values():
             entries = driver.read_entries(handle.name, memo=handle.memo)
             if entries:
@@ -641,25 +717,23 @@ class MantisAgent:
                 )
         value &= (1 << self._param_width[param]) - 1
         self._param_values[param] = value
-        table, is_master = self._param_home[param]
+        table, is_master, position = self._param_home[param]
         diff = self.commit_mode == "diff"
         if is_master:
-            index = self._master.param_index(param)
-            if diff and value == self._master_args[index]:
+            if diff and value == self._master_args[position]:
                 # Dirty-diff dedup: re-writing the committed value is a
                 # no-op; dropping any earlier staged value restores the
                 # committed state, so nothing needs to be written.
-                self._master_staged.pop(index, None)
+                self._master_staged.pop(position, None)
                 self.dirty_writes_skipped += 1
                 return
-            self._master_staged[index] = value
+            self._master_staged[position] = value
             self.dirty_writes_staged += 1
         else:
             # Staged; the prepare write happens once per dirty init
             # table at commit time (all staged params in one entry
             # update, like the master's single default-action write).
             shadow = self._init_shadows[table]
-            position = shadow.spec.param_index(param)
             if diff and value == shadow.args[position]:
                 shadow.staged.pop(position, None)
                 shadow.dirty = bool(shadow.staged)
@@ -695,23 +769,22 @@ class MantisAgent:
         """
         if not self._prologue_done:
             raise AgentError("run prologue() before the dialogue loop")
-        clock = self.driver.clock
+        clock = self._clock
         start = clock.now
         failures_before = self._total_failures
 
         # Roll any unfinished mirror forward *before* reactions stage
         # new changes: a stale mirror replaying after fresh prepares
         # could resurrect entries the new generation deleted.
-        if not self._finish_mirror_tolerant():
+        if self._mirror_old_vv is not None \
+                and not self._finish_mirror_tolerant():
             busy = clock.now - start
-            self.last_breakdown = {
-                "mv_flip_us": 0.0, "poll_us": 0.0, "react_us": 0.0,
-                "commit_us": busy, "total_us": busy,
-            }
-            self._account_iteration(busy, failures_before)
+            self._account_iteration(
+                0.0, 0.0, 0.0, busy, busy, failures_before
+            )
             return busy
 
-        if self._has_measurements and self._master is not None:
+        if self._flips_mv:
             try:
                 self._write_master(mv=self.mv ^ 1)
                 self.mv ^= 1
@@ -757,27 +830,48 @@ class MantisAgent:
 
         if commit:
             self._commit_with_recovery()
-        self._apply_pending_swaps()
+        if self._pending_swaps:
+            self._apply_pending_swaps()
 
-        busy = clock.now - start
-        # Per-phase breakdown of this iteration (the terms of the
-        # Section 8.1 formula), for observability and the benchmarks.
-        self.last_breakdown = {
-            "mv_flip_us": after_flip - start,
-            "poll_us": poll_time,
-            "react_us": before_commit - after_flip - poll_time,
-            "commit_us": clock.now - before_commit,
-            "total_us": busy,
-        }
-        self._account_iteration(busy, failures_before)
+        end = clock.now
+        busy = end - start
+        self._account_iteration(
+            after_flip - start,
+            poll_time,
+            before_commit - after_flip - poll_time,
+            end - before_commit,
+            busy,
+            failures_before,
+        )
         return busy
 
-    def _account_iteration(self, busy: float, failures_before: int) -> None:
+    def _account_iteration(
+        self,
+        mv_flip_us: float,
+        poll_us: float,
+        react_us: float,
+        commit_us: float,
+        busy: float,
+        failures_before: int,
+    ) -> None:
+        """Book one finished iteration: its per-phase breakdown (the
+        terms of the Section 8.1 formula), lifetime totals, duration
+        window, pacing sleep and the failure streak."""
+        self.last_breakdown = {
+            "mv_flip_us": mv_flip_us,
+            "poll_us": poll_us,
+            "react_us": react_us,
+            "commit_us": commit_us,
+            "total_us": busy,
+        }
         self.iterations += 1
         self.total_busy_us += busy
         totals = self.phase_totals
-        for phase, spent in self.last_breakdown.items():
-            totals[phase] = totals.get(phase, 0.0) + spent
+        totals["mv_flip_us"] += mv_flip_us
+        totals["poll_us"] += poll_us
+        totals["react_us"] += react_us
+        totals["commit_us"] += commit_us
+        totals["total_us"] += busy
         duration = busy + self.pacing_sleep_us
         self.iteration_durations.append(duration)
         self._duration_sum_us += duration
@@ -785,7 +879,7 @@ class MantisAgent:
         if len(self.iteration_durations) > 100_000:
             del self.iteration_durations[:50_000]
         if self.pacing_sleep_us:
-            self.driver.clock.advance(self.pacing_sleep_us)
+            self._clock.advance(self.pacing_sleep_us)
             self.total_idle_us += self.pacing_sleep_us
         if self._total_failures > failures_before:
             self._consecutive_failures += 1
@@ -893,11 +987,11 @@ class MantisAgent:
         """
         master = self._master
         args = list(self._master_args)
-        if fold_staged:
+        if fold_staged and self._master_staged:
             for index, value in self._master_staged.items():
                 args[index] = value
-        args[master.param_index("vv")] = self.vv if vv is None else vv
-        args[master.param_index("mv")] = self.mv if mv is None else mv
+        args[self._vv_index] = self.vv if vv is None else vv
+        args[self._mv_index] = self.mv if mv is None else mv
         self.driver.set_default(
             master.table, master.action, args, memo=self._master_memo
         )
@@ -910,7 +1004,7 @@ class MantisAgent:
                     f"master write to {master.table!r} did not land "
                     "(dropped?)"
                 )
-        if fold_staged:
+        if fold_staged and self._master_staged:
             self._master_staged.clear()
         self._master_args = args
 
@@ -972,7 +1066,8 @@ class MantisAgent:
         """
         if self._master is None:
             return
-        self._finish_mirror()
+        if self._mirror_old_vv is not None:
+            self._finish_mirror()
         # Prepare: one shadow-entry write per dirty non-master init
         # ("full" commit mode rewrites every shadow unconditionally --
         # the paper-naive baseline the dirty diff is measured against).
@@ -981,33 +1076,41 @@ class MantisAgent:
         # failure surfaces at the drain barrier, before the flip, with
         # all staged state intact for the retry.
         commit_all = self.commit_mode == "full"
-        with self._pipeline_scope():
-            for shadow in self._init_shadows.values():
-                if not (shadow.dirty or commit_all):
-                    continue
-                new_args = list(shadow.args)
-                for position, value in shadow.staged.items():
-                    new_args[position] = value
-                self._write_init_shadow(shadow, self.vv ^ 1, new_args)
+        writing = [
+            shadow for shadow in self._init_shadows.values()
+            if shadow.dirty or commit_all
+        ] if self._init_shadows else ()
+        # An empty prepare needs no scope -- except the pipelined one,
+        # whose exit is a drain barrier whether or not it wrote.
+        if writing or self.commit_pipelining:
+            with self._pipeline_scope():
+                for shadow in writing:
+                    new_args = list(shadow.args)
+                    for position, value in shadow.staged.items():
+                        new_args[position] = value
+                    self._write_init_shadow(shadow, self.vv ^ 1, new_args)
         old_vv = self.vv
         self._write_master(vv=self.vv ^ 1, fold_staged=True)
-        # The flip landed: the commit is now irrevocable.  Record the
-        # mirror obligation *before* doing any mirror write, so a
-        # failure below leaves a resumable marker instead of a lie.
+        # The flip landed: the commit is now irrevocable.
         self.vv ^= 1
         if "vv" in self._param_values:
             self._param_values["vv"] = self.vv
+        sealed = False
+        for handle in self._tables.values():
+            if handle.pending_mirror:
+                handle.seal_mirror(old_vv)
+                sealed = True
+        if not (writing or sealed):
+            return  # nothing to mirror: the shadow copies already agree
+        # Record the mirror obligation *before* doing any mirror write,
+        # so a failure below leaves a resumable marker instead of a lie.
         self._mirror_old_vv = old_vv
-        for shadow in self._init_shadows.values():
-            if not (shadow.dirty or commit_all):
-                continue
+        for shadow in writing:
             for position, value in shadow.staged.items():
                 shadow.args[position] = value
             shadow.staged.clear()
             shadow.dirty = False
             shadow.mirror_dirty = True
-        for handle in self._tables.values():
-            handle.seal_mirror(old_vv)
         self._finish_mirror()
 
     def _finish_mirror(self) -> None:
@@ -1047,7 +1150,8 @@ class MantisAgent:
         deferred: staged values, dirty flags and sealed mirror ops all
         survive for the next iteration.
         """
-        for _attempt in range(max(1, self.commit_retry_limit)):
+        attempts_left = self.commit_retry_limit
+        while True:
             try:
                 if self._mirror_old_vv is not None:
                     self._finish_mirror()
@@ -1056,57 +1160,67 @@ class MantisAgent:
                 return True
             except _RECOVERABLE as error:
                 self._note_failure(error)
-        return False
+                attempts_left -= 1
+                if attempts_left <= 0:
+                    return False
 
     def _poll_args(
         self, runtime: _ReactionRuntime, checkpoint: int
     ) -> Dict[str, object]:
-        """Poll one reaction's parameters from the checkpoint copies.
+        """Poll one reaction's parameters from the checkpoint copies
+        by replaying its :class:`_PollPlan`.
 
         Failed container/mirror reads degrade to the last successfully
         read values (stale but consistent) instead of raising.
         """
+        plan = runtime.plan
         args: Dict[str, object] = {}
-        decl_args = runtime.spec.decl.args
-        container_words: Dict[str, int] = {}
-        with self.driver.batch():
-            for arg, (source, _key) in zip(decl_args, runtime.spec.arg_sources):
-                if source != "container":
-                    continue
-                container, slot = self.spec.container_for(
-                    runtime.spec.name, arg.c_name
-                )
-                if container.register not in container_words:
-                    try:
-                        words = self.driver.read_registers(
-                            container.register, checkpoint, checkpoint,
-                            memo=self._container_memos[container.register],
-                        )
-                        word = words[0]
-                        self._container_cache[container.register] = word
-                    except _RECOVERABLE as error:
-                        self._note_failure(error)
-                        word = self._container_cache.get(
-                            container.register, 0
-                        )
-                    container_words[container.register] = word
-                word = container_words[container.register]
-                args[arg.c_name] = (word >> slot.shift) & ((1 << slot.width) - 1)
-        for arg, (source, key) in zip(decl_args, runtime.spec.arg_sources):
-            if source == "mirror":
-                reader = self._mirror_readers[key]
-                try:
-                    args[arg.c_name] = reader.poll(checkpoint, arg.lo, arg.hi)
-                except _RECOVERABLE as error:
-                    self._note_failure(error)
-                    args[arg.c_name] = reader.cached(arg.lo, arg.hi)
-            elif source == "mbl":
-                args[arg.c_name] = self.read_malleable(key)
+        if plan.reads:
+            if len(plan.reads) > 1:
+                with self.driver.batch():
+                    words = self._read_containers(plan.reads, checkpoint)
+            else:
+                # A batch of one op prices exactly like that op alone.
+                words = self._read_containers(plan.reads, checkpoint)
+            for c_name, read, shift, mask in plan.fields:
+                args[c_name] = (words[read] >> shift) & mask
+        for c_name, reader, lo, hi, param in plan.rest:
+            if reader is None:
+                args[c_name] = self._param_values[param]
+                continue
+            try:
+                args[c_name] = reader.poll(checkpoint, lo, hi)
+            except _RECOVERABLE as error:
+                self._note_failure(error)
+                args[c_name] = reader.cached(lo, hi)
         return args
+
+    def _read_containers(
+        self, reads: List[Tuple[str, MemoHandle]], checkpoint: int
+    ) -> List[int]:
+        words = []
+        driver, cache = self.driver, self._container_cache
+        for register, memo in reads:
+            try:
+                word = driver.read_registers(
+                    register, checkpoint, checkpoint, memo=memo
+                )[0]
+                cache[register] = word
+            except _RECOVERABLE as error:
+                self._note_failure(error)
+                word = cache.get(register, 0)
+            words.append(word)
+        return words
 
     def _execute(self, runtime: _ReactionRuntime, args: Dict[str, object]) -> None:
         if runtime.py_impl is not None:
-            context = ReactionContext(self, args, runtime.state)
+            context = runtime.context
+            if context is None:
+                context = runtime.context = ReactionContext(
+                    self, args, runtime.state
+                )
+            else:
+                context.args = args
             runtime.py_impl(context)
             return
         if runtime.c_impl is None:
@@ -1129,7 +1243,7 @@ class MantisAgent:
         # Charge simulated CPU time for the reaction logic (the "C"
         # term of the Section 8.1 formula): ~2 ns per interpreted
         # expression, a CPU-scale per-instruction cost.
-        self.driver.clock.advance(
+        self._clock.advance(
             runtime.c_impl.last_op_count * self.c_op_cost_us
         )
 

@@ -99,10 +99,12 @@ class MalleableTableHandle:
         self._alt_counts = dict(field_alt_counts or {})
         self._users: Dict[int, _UserEntry] = {}
         self._next_user_id = itertools.count(1)
-        # [op, user_id, payload] lists (mutable: the mirror rewrites
-        # op in place to track roll-forward progress) replayed against
-        # the old copy after each commit.
-        self._pending_mirror: List[List] = []
+        #: Prepared-but-uncommitted ops: [op, user_id, payload] lists
+        #: (mutable: the mirror rewrites op in place to track
+        #: roll-forward progress) replayed against the old copy after
+        #: each commit.  The agent's commit reads this to skip handles
+        #: with nothing to seal.
+        self.pending_mirror: List[List] = []
         # Sealed generations awaiting mirror: (old_version, ops).  A
         # generation is sealed at its vv flip and drained op by op;
         # a driver failure mid-drain leaves the remainder here so the
@@ -163,7 +165,7 @@ class MalleableTableHandle:
                 pass
             raise
         self._users[user.user_id] = user
-        self._pending_mirror.append(["add", user.user_id, ()])
+        self.pending_mirror.append(["add", user.user_id, ()])
         return user.user_id
 
     def modify(
@@ -182,7 +184,7 @@ class MalleableTableHandle:
             if args is not None:
                 user.args = list(args)
             self._install(user, shadow)
-            self._pending_mirror.append(["reinstall", user_id, ()])
+            self.pending_mirror.append(["reinstall", user_id, ()])
             return
         if args is not None:
             user.args = list(args)
@@ -192,22 +194,22 @@ class MalleableTableHandle:
             self.driver.modify_entry(
                 self.name, concrete_id, args=resolved_args, memo=self.memo
             )
-        self._pending_mirror.append(["modify", user_id, ()])
+        self.pending_mirror.append(["modify", user_id, ()])
 
     def delete(self, user_id: int) -> None:
         user = self._get(user_id)
         self.drain_mirror()
         shadow = self._shadow_version()
         self._delete_concrete(user, shadow)
-        self._pending_mirror.append(["delete", user_id, ()])
+        self.pending_mirror.append(["delete", user_id, ()])
 
     def seal_mirror(self, old_version: int) -> None:
         """Bind the prepared-and-committed ops to the version copy
         they must be mirrored onto.  Called at the vv flip; ops staged
         after the seal belong to the next generation."""
-        if self._pending_mirror:
-            self._sealed_mirror.append((old_version, self._pending_mirror))
-            self._pending_mirror = []
+        if self.pending_mirror:
+            self._sealed_mirror.append((old_version, self.pending_mirror))
+            self.pending_mirror = []
 
     def drain_mirror(self) -> None:
         """Replay sealed mirror generations, op by op.
@@ -263,7 +265,7 @@ class MalleableTableHandle:
 
     @property
     def pending_ops(self) -> int:
-        return len(self._pending_mirror) + self.mirror_backlog
+        return len(self.pending_mirror) + self.mirror_backlog
 
     @property
     def mirror_backlog(self) -> int:

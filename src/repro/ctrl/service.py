@@ -43,7 +43,13 @@ from repro.errors import (
     DriverTimeoutError,
     TransientDriverError,
 )
-from repro.switch.driver import Driver, MemoHandle, OpRecord
+from repro.switch.driver import (
+    BatchState,
+    Driver,
+    MemoHandle,
+    OpRecord,
+    BatchScope,
+)
 
 from repro.ctrl.channel import ChannelSchedule, PipelinedChannel
 
@@ -461,21 +467,12 @@ class CtrlSession:
         self.latencies_us: List[float] = []
         self.on_drain: Optional[Callable[[], None]] = None
         self._saturated = False
-        # Session-scoped request batching (blocking path).
-        self._batch_depth = 0
-        self._batch_pcie_paid = False
+        #: Session-scoped request batching (blocking path), read by
+        #: ``Driver._execute``.
+        self.batch_state = BatchState()
         self.driver = SessionDriver(service.driver, self)
 
-    # ---- hooks used by Driver._execute (blocking path) ---------------------
-
-    def next_pcie_us(self) -> float:
-        model = self.service.driver.model
-        if self._batch_depth == 0:
-            return model.pcie_rtt_us
-        if not self._batch_pcie_paid:
-            self._batch_pcie_paid = True
-            return model.pcie_rtt_us
-        return 0.0
+    # ---- hook used by Driver._execute (blocking path) ----------------------
 
     def reserve(self, now_us: float, prep_us: float, device_us: float,
                 extra_us: float, pcie_us: float) -> ChannelSchedule:
@@ -691,11 +688,15 @@ class SessionDriver:
     submitted asynchronously and the context exit drains them.
     """
 
-    _LOCAL = ("_driver", "_session", "_pipelining", "_pipeline_tickets")
+    _LOCAL = ("_driver", "_session", "_batch_scope", "_pipelining",
+              "_pipeline_tickets")
 
     def __init__(self, driver: Driver, session: CtrlSession):
         object.__setattr__(self, "_driver", driver)
         object.__setattr__(self, "_session", session)
+        object.__setattr__(
+            self, "_batch_scope", BatchScope(session.batch_state, self)
+        )
         object.__setattr__(self, "_pipelining", False)
         object.__setattr__(self, "_pipeline_tickets", [])
 
@@ -714,8 +715,11 @@ class SessionDriver:
 
     # ---- batching / pipelining --------------------------------------------
 
-    def batch(self) -> "_SessionBatchContext":
-        return _SessionBatchContext(self)
+    def batch(self) -> BatchScope:
+        """Session-scoped request batching: one PCIe round trip shared
+        by the ops of one session's batch, independent of other
+        sessions."""
+        return self._batch_scope
 
     def pipeline(self) -> "_PipelineContext":
         """Within this context, write ops are pipelined; exiting
@@ -828,27 +832,6 @@ class SessionDriver:
             ops, channel=channel or self._session.channel,
             session=self._session,
         )
-
-
-class _SessionBatchContext:
-    """Session-scoped request batching: one PCIe round trip shared by
-    the ops of one session's batch, independent of other sessions."""
-
-    def __init__(self, proxy: SessionDriver):
-        self.proxy = proxy
-
-    def __enter__(self) -> SessionDriver:
-        session = self.proxy._session
-        if session._batch_depth == 0:
-            session._batch_pcie_paid = False
-        session._batch_depth += 1
-        return self.proxy
-
-    def __exit__(self, *exc_info) -> None:
-        session = self.proxy._session
-        session._batch_depth -= 1
-        if session._batch_depth == 0:
-            session._batch_pcie_paid = False
 
 
 class _PipelineContext:

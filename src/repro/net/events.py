@@ -20,7 +20,9 @@ class EventQueue:
     """A time-ordered callback queue."""
 
     def __init__(self):
-        self._heap: List[Tuple[float, int, Callable[[float], None]]] = []
+        #: The live heap, never rebound: ``SimClock.watch`` peeks at
+        #: ``heap[0][0]`` to skip the drain call when nothing is due.
+        self.heap: List[Tuple[float, int, Callable[[float], None]]] = []
         self._sequence = itertools.count()
         self._draining = False
         self.processed = 0
@@ -29,13 +31,13 @@ class EventQueue:
         """Run ``callback(time_us)`` when the clock reaches ``time_us``."""
         if time_us < 0:
             raise SimulationError(f"cannot schedule event at {time_us}")
-        heapq.heappush(self._heap, (time_us, next(self._sequence), callback))
+        heapq.heappush(self.heap, (time_us, next(self._sequence), callback))
 
     def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def drain(self, now_us: float) -> int:
         """Run every event due at or before ``now_us``.
@@ -49,8 +51,8 @@ class EventQueue:
         self._draining = True
         ran = 0
         try:
-            while self._heap and self._heap[0][0] <= now_us:
-                time_us, _seq, callback = heapq.heappop(self._heap)
+            while self.heap and self.heap[0][0] <= now_us:
+                time_us, _seq, callback = heapq.heappop(self.heap)
                 callback(time_us)
                 ran += 1
                 self.processed += 1

@@ -16,9 +16,9 @@ Actors and events split the timeline by role:
   anything needing *exact* timestamps: packet arrivals, departures,
   host timers, and the control-plane service's op applies/completions
   (``repro.ctrl``).  They run whenever the clock passes their
-  timestamp -- including *mid-actor*, because every clock advance
-  (each driver operation inside an agent iteration) notifies the
-  queue via a clock listener.  This is how a table update can commit
+  timestamp -- including *mid-actor*, because the clock watches the
+  queue's heap and every advance (each driver operation inside an
+  agent iteration) that leaves an event due drains it.  This is how a table update can commit
   between two packets of the same burst, and how a pipelined driver
   op can complete (and a live legacy client can arrive) in the middle
   of an agent iteration.
@@ -53,7 +53,7 @@ import heapq
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import DriverError, SimulationError
 from repro.switch.clock import SimClock
 
 _INFINITY = float("inf")
@@ -154,8 +154,6 @@ class AgentActor(Actor):
             return None
         self._budget -= 1
         if self.resilient:
-            from repro.errors import DriverError
-
             try:
                 self.agent.run_iteration()
             except DriverError:
@@ -174,9 +172,9 @@ class Scheduler:
     """Shared timeline for an N-switch fabric.
 
     Owns the :class:`SimClock` and the :class:`EventQueue`, registers
-    the clock listener that drains due events after every advance
-    (preserving the per-driver-op interleaving of the single-switch
-    simulator), and runs actors in timestamp order with FIFO
+    the queue with the clock so due events drain inside the advance
+    that reaches them (preserving the per-driver-op interleaving of the
+    single-switch simulator), and runs actors in timestamp order with FIFO
     tie-breaking.
     """
 
@@ -187,7 +185,7 @@ class Scheduler:
 
         self.clock = clock or SimClock()
         self.events = EventQueue()
-        self.clock.add_listener(self._on_clock)
+        self.clock.watch(self.events.heap, self._on_clock)
         # Actor heap entries are (time, seq, record); a record whose
         # entry field no longer matches the popped triple is stale
         # (re-armed or cancelled) and skipped lazily.
@@ -202,6 +200,7 @@ class Scheduler:
     # ---- events ------------------------------------------------------------
 
     def _on_clock(self, now_us: float) -> None:
+        # Reached only when the clock saw an event due (SimClock.watch).
         self.events.drain(now_us)
 
     def at(self, time_us: float, fn: Callable[[float], None]) -> None:
@@ -329,7 +328,7 @@ class Scheduler:
             if record is not None and actor_time < horizon \
                     and actor_time <= event_time:
                 if actor_time > clock.now:
-                    clock.advance_to(actor_time)  # listener drains en route
+                    clock.advance_to(actor_time)  # drains due events en route
                 # Batched wakeup: one clock advance, then the whole
                 # equal-timestamp cohort fires back to back in arming
                 # order.  A member cancelled or re-armed by an earlier
@@ -349,7 +348,7 @@ class Scheduler:
                 continue
             if event_time <= horizon and event_time < _INFINITY:
                 if event_time > clock.now:
-                    clock.advance_to(event_time)  # listener runs the event
+                    clock.advance_to(event_time)  # the advance runs the event
                 else:
                     events.drain(clock.now)
                 continue

@@ -132,16 +132,30 @@ class OpRecord:
     ops: int = 1
 
 
-@dataclass
 class MemoHandle:
     """Prologue-precomputed instruction buffer for one device object.
 
     Operations issued with a memo skip most software preparation
-    (``memoized_prep_us`` instead of ``op_prep_us``).
+    (``memoized_prep_us`` instead of ``op_prep_us``) -- and, like the
+    real buffer, the handle already holds everything an op would
+    otherwise re-derive per call: the resolved device object
+    (``target``: a ``TableRuntime``, ``RegisterArray`` or
+    ``CounterRuntime``) and the priced device cost of each read shape
+    issued so far (``costs``: ``(lo, hi)`` for a register burst read,
+    ``()`` for a counter read).  Prices are pure functions of the
+    driver's cost model, which is fixed at construction.
     """
 
-    kind: str
-    name: str
+    __slots__ = ("kind", "name", "target", "costs")
+
+    def __init__(self, kind: str, name: str, target: object):
+        self.kind = kind
+        self.name = name
+        self.target = target
+        self.costs: Dict[tuple, float] = {}
+
+    def __repr__(self) -> str:
+        return f"MemoHandle({self.kind!r}, {self.name!r})"
 
 
 class Driver:
@@ -183,8 +197,8 @@ class Driver:
         # Ablation knob: when False, every operation pays the full
         # (unmemoized) software preparation cost.
         self.memoization_enabled = True
-        self._batch_depth = 0
-        self._batch_pcie_paid = False
+        self._batch = BatchState()
+        self._batch_scope = BatchScope(self._batch, self)
         self._memos: Dict[Tuple[str, str], MemoHandle] = {}
         # Fault surface: an object with an ``intercept(kind, target,
         # channel, op_index, now)`` method (repro.faults.FaultInjector
@@ -213,26 +227,39 @@ class Driver:
         """
         key = (kind, name)
         if key not in self._memos:
-            self._check_target(kind, name)
+            target = self._lookup(kind, name)
             self.clock.advance(self.model.op_prep_us)
-            self._memos[key] = MemoHandle(kind, name)
+            self._memos[key] = MemoHandle(kind, name, target)
         return self._memos[key]
 
-    def _check_target(self, kind: str, name: str) -> None:
+    def _lookup(self, kind: str, name: str):
         if kind == "table":
-            self.asic.get_table(name)
-        elif kind == "register":
-            self.asic.get_register(name)
-        elif kind == "counter":
-            self.asic.get_counter(name)
-        else:
-            raise DriverError(f"unknown memo kind {kind!r}")
+            return self.asic.get_table(name)
+        if kind == "register":
+            return self.asic.get_register(name)
+        if kind == "counter":
+            return self.asic.get_counter(name)
+        raise DriverError(f"unknown memo kind {kind!r}")
+
+    def _resolve(self, memo: Optional[MemoHandle], kind: str, name: str):
+        """``(memo, device object)`` for an op that did not arrive with
+        its own matching handle: an op without ``memo=`` still rides a
+        handle memoized earlier for the same object; a handle for a
+        different object is a caller bug."""
+        if memo is None:
+            memo = self._memos.get((kind, name))
+            if memo is None:
+                return None, self._lookup(kind, name)
+            return memo, memo.target
+        raise DriverError(
+            f"memo for {memo.kind}/{memo.name} used on {kind}/{name}"
+        )
 
     # ---- batching -------------------------------------------------------------
 
-    def batch(self) -> "_BatchContext":
+    def batch(self) -> "BatchScope":
         """Group subsequent operations into one PCIe transaction."""
-        return _BatchContext(self)
+        return self._batch_scope
 
     # ---- cost accounting -------------------------------------------------------
 
@@ -291,19 +318,61 @@ class Driver:
         device_cost: float,
         memo: Optional[MemoHandle],
         channel: str,
-        apply: Optional[Callable[[], object]] = None,
+        apply: Optional[Callable[..., object]] = None,
+        args: tuple = (),
         session=None,
         op_count: int = 1,
     ) -> object:
         """Run one operation: fault admission, then the ASIC mutation
-        (``apply``), then cost accounting.
+        (``apply(*args)``), then cost accounting.
 
         The mutation runs strictly *after* the fault decision, so an
         injected failure can never leave device state behind, and
         strictly *before* the clock charge, so an ``apply`` that
-        raises (e.g. a full table) costs nothing -- device state and
-        the cost model stay in lockstep either way.
+        raises (e.g. a full table) costs nothing -- not even its
+        batch's PCIe round trip, which stays owed by the next op --
+        and device state and the cost model stay in lockstep.
+
+        The op is priced once; what follows is chosen per call from
+        what can currently observe the op.  With no session, no fault
+        injector, no post-op hook and no recorded timeline, nothing can
+        fail, retry, delay or watch it, so the *plain tail* charges the
+        same ``prep + device_cost + pcie`` sum and bumps the same
+        counters without building an :class:`OpRecord` or entering the
+        retry loop.  Injectors and invariant checkers attach mid-run;
+        the very next op takes the full tail.
         """
+        model = self.model
+        prep = (
+            model.memoized_prep_us
+            if memo is not None and self.memoization_enabled
+            else model.op_prep_us
+        )
+        # Batching is scoped to its requester: a concurrent client's op
+        # must not be mispriced by another session's open batch.
+        batch = self._batch if session is None else session.batch_state
+        if (
+            session is None
+            and self.fault_injector is None
+            and not self.post_op_hooks
+            and not self.record_timeline
+        ):
+            self.op_attempts += 1
+            if batch.depth == 0 or not batch.pcie_paid:
+                pcie = model.pcie_rtt_us
+            else:
+                pcie = 0.0
+            result = apply(*args) if apply is not None else None
+            batch.pcie_paid = True
+            # One advance per op, summed left to right exactly as the
+            # full tail does (its ``+ extra`` adds 0.0 here, which is
+            # exact): float addition does not associate, and the clock
+            # is part of every pinned simulated result.
+            self.clock.advance(prep + device_cost + pcie)
+            self.ops_issued += op_count
+            self.timeline_total += 1
+            return result
+
         policy = self.retry_policy
         deadline = None
         if policy is not None and policy.deadline_us is not None:
@@ -312,22 +381,10 @@ class Driver:
         while True:
             attempt += 1
             self.op_attempts += 1
-            prep = (
-                self.model.memoized_prep_us
-                if memo is not None and self.memoization_enabled
-                else self.model.op_prep_us
-            )
-            pcie = 0.0
-            if session is not None:
-                # Session-scoped batching: a concurrent client's op
-                # must not be mispriced by another session's open
-                # batch, so each session carries its own batch state.
-                pcie = session.next_pcie_us()
-            elif self._batch_depth == 0:
-                pcie = self.model.pcie_rtt_us
-            elif not self._batch_pcie_paid:
-                pcie = self.model.pcie_rtt_us
-                self._batch_pcie_paid = True
+            if batch.depth == 0 or not batch.pcie_paid:
+                pcie = model.pcie_rtt_us
+            else:
+                pcie = 0.0
             fault = None
             if self.fault_injector is not None:
                 fault = self.fault_injector.intercept(
@@ -336,6 +393,7 @@ class Driver:
             if fault is not None and fault.kind == "transient":
                 # The round trip happened but the device rejected the
                 # op: pay prep + PCIe, mutate nothing.
+                batch.pcie_paid = True
                 self.clock.advance(prep + pcie)
                 message = f"injected transient failure on {kind} {target!r}"
                 self._record_error(kind, message)
@@ -370,7 +428,9 @@ class Driver:
                 # to value writes (no result, safe to lose).
                 pass
             elif apply is not None:
-                result = apply()
+                result = apply(*args)
+            # Only now is the op certain to be charged.
+            batch.pcie_paid = True
             extra = (
                 fault.extra_us
                 if fault is not None and fault.kind == "latency"
@@ -412,23 +472,17 @@ class Driver:
         """Software prep cost one op on ``name`` would pay right now
         (memoized if a handle exists) -- the service prices prep at
         submit time with this."""
-        memo = self._use_memo(memo, memo_kind, name)
+        if memo is None or memo.name != name or memo.kind != memo_kind:
+            memo, _target = self._resolve(memo, memo_kind, name)
         if memo is not None and self.memoization_enabled:
             return self.model.memoized_prep_us
         return self.model.op_prep_us
 
-    def _use_memo(
-        self, memo: Optional[MemoHandle], kind: str, name: str
-    ) -> Optional[MemoHandle]:
-        if memo is None:
-            return self._memos.get((kind, name))
-        if memo.kind != kind or memo.name != name:
-            raise DriverError(
-                f"memo for {memo.kind}/{memo.name} used on {kind}/{name}"
-            )
-        return memo
-
     # ---- table operations ---------------------------------------------------------
+    #
+    # Every op opens the same way: a caller that brought the matching
+    # handle gets the device object straight from it (no name lookup);
+    # anything else goes through :meth:`_resolve`.
 
     def add_entry(
         self,
@@ -441,12 +495,13 @@ class Driver:
         channel: str = "mantis",
         session=None,
     ) -> int:
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
         return self._execute(
             "table_add", table, self.model.table_add_us, memo, channel,
-            apply=lambda: runtime.add_entry(key, action, args, priority),
-            session=session,
+            runtime.add_entry, (key, action, args, priority), session,
         )
 
     def modify_entry(
@@ -459,12 +514,13 @@ class Driver:
         channel: str = "mantis",
         session=None,
     ) -> None:
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
         self._execute(
             "table_modify", table, self.model.table_modify_us, memo, channel,
-            apply=lambda: runtime.modify_entry(entry_id, action, args),
-            session=session,
+            runtime.modify_entry, (entry_id, action, args), session,
         )
 
     def delete_entry(
@@ -475,12 +531,13 @@ class Driver:
         channel: str = "mantis",
         session=None,
     ) -> None:
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
         self._execute(
             "table_delete", table, self.model.table_delete_us, memo, channel,
-            apply=lambda: runtime.delete_entry(entry_id),
-            session=session,
+            runtime.delete_entry, (entry_id,), session,
         )
 
     def set_default(
@@ -492,13 +549,13 @@ class Driver:
         channel: str = "mantis",
         session=None,
     ) -> None:
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
         self._execute(
             "table_set_default", table, self.model.table_set_default_us,
-            memo, channel,
-            apply=lambda: runtime.set_default(action, args),
-            session=session,
+            memo, channel, runtime.set_default, (action, args), session,
         )
 
     # ---- table read-back (crash recovery / commit verification) ------------
@@ -512,8 +569,10 @@ class Driver:
     ) -> List[Tuple[int, Tuple[KeyPart, ...], str, List[int], int]]:
         """Read back every installed entry of one table as
         ``(entry_id, key, action, args, priority)`` tuples."""
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
 
         def apply():
             return [
@@ -529,7 +588,7 @@ class Driver:
 
         device_cost = self.model.table_read_cost(len(runtime.entries))
         return self._execute(
-            "table_read", table, device_cost, memo, channel, apply=apply,
+            "table_read", table, device_cost, memo, channel, apply,
             session=session,
         )
 
@@ -546,8 +605,10 @@ class Driver:
         The dirty-diff commit path verifies only the entries it wrote;
         this costs a single-entry read instead of a whole-table dump.
         """
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
 
         def apply():
             entry = runtime.entries.get(entry_id)
@@ -563,7 +624,7 @@ class Driver:
 
         return self._execute(
             "table_read", table, self.model.table_read_cost(1), memo, channel,
-            apply=apply, session=session,
+            apply, session=session,
         )
 
     def read_default(
@@ -574,8 +635,10 @@ class Driver:
         session=None,
     ) -> Optional[Tuple[str, List[int]]]:
         """Read back a table's default action as ``(action, args)``."""
-        memo = self._use_memo(memo, "table", table)
-        runtime = self.asic.get_table(table)
+        if memo is None or memo.name != table or memo.kind != "table":
+            memo, runtime = self._resolve(memo, "table", table)
+        else:
+            runtime = memo.target
 
         def apply():
             default = runtime.default_action
@@ -583,7 +646,7 @@ class Driver:
 
         return self._execute(
             "table_read", table, self.model.table_read_cost(0), memo, channel,
-            apply=apply, session=session,
+            apply, session=session,
         )
 
     # ---- register operations ----------------------------------------------------------
@@ -598,15 +661,24 @@ class Driver:
         session=None,
     ) -> List[int]:
         """Burst-read entries ``lo..hi`` (inclusive) of one array."""
-        memo = self._use_memo(memo, "register", name)
-        register = self.asic.get_register(name)
+        if memo is None or memo.name != name or memo.kind != "register":
+            memo, register = self._resolve(memo, "register", name)
+        else:
+            register = memo.target
         if hi is None:
             hi = register.instance_count - 1
-        device_cost = self.model.register_read_cost(hi - lo + 1, register.width)
+        shape = (lo, hi)
+        if memo is not None and shape in memo.costs:
+            device_cost = memo.costs[shape]
+        else:
+            device_cost = self.model.register_read_cost(
+                hi - lo + 1, register.width
+            )
+            if memo is not None:
+                memo.costs[shape] = device_cost
         return self._execute(
             "register_read", name, device_cost, memo, channel,
-            apply=lambda: register.read_range(lo, hi),
-            session=session,
+            register.read_range, (lo, hi), session,
         )
 
     def write_register(
@@ -618,12 +690,13 @@ class Driver:
         channel: str = "mantis",
         session=None,
     ) -> None:
-        memo = self._use_memo(memo, "register", name)
-        register = self.asic.get_register(name)
+        if memo is None or memo.name != name or memo.kind != "register":
+            memo, register = self._resolve(memo, "register", name)
+        else:
+            register = memo.target
         self._execute(
             "register_write", name, self.model.register_write_us, memo, channel,
-            apply=lambda: register.write(index, value),
-            session=session,
+            register.write, (index, value), session,
         )
 
     def read_counter(
@@ -634,18 +707,20 @@ class Driver:
         channel: str = "mantis",
         session=None,
     ) -> int:
-        memo = self._use_memo(memo, "counter", name)
-        counter = self.asic.get_counter(name)
+        if memo is None or memo.name != name or memo.kind != "counter":
+            memo, counter = self._resolve(memo, "counter", name)
+        else:
+            counter = memo.target
+        if memo is not None and () in memo.costs:
+            device_cost = memo.costs[()]
+        else:
+            device_cost = self.model.register_read_cost(1, 64)
+            if memo is not None:
+                memo.costs[()] = device_cost
         return self._execute(
-            "counter_read",
-            name,
-            self.model.register_read_cost(1, 64),
-            memo,
-            channel,
-            apply=lambda: counter.array.read(index),
-            session=session,
+            "counter_read", name, device_cost, memo, channel,
+            counter.array.read, (index,), session,
         )
-
 
     # ---- bulk/streamed writes ---------------------------------------------
 
@@ -733,7 +808,7 @@ class Driver:
             device_cost,
             None,
             channel,
-            apply=lambda: [fn() for fn in applies],
+            lambda: [fn() for fn in applies],
             session=session,
             op_count=len(ops),
         )
@@ -741,19 +816,35 @@ class Driver:
         return result
 
 
-class _BatchContext:
-    """Context manager implementing request batching."""
+class BatchState:
+    """One requester's ``batch()`` nesting: ops inside the outermost
+    scope share a single PCIe round trip, owed by the first op that is
+    actually charged (``pcie_paid`` means nothing at ``depth == 0``)."""
 
-    def __init__(self, driver: Driver):
+    __slots__ = ("depth", "pcie_paid")
+
+    def __init__(self):
+        self.depth = 0
+        self.pcie_paid = False
+
+
+class BatchScope:
+    """Context manager implementing request batching over one
+    :class:`BatchState`; yields ``driver`` (the requester's facade).
+    Stateless beyond that, so one instance serves every ``batch()``."""
+
+    __slots__ = ("state", "driver")
+
+    def __init__(self, state: BatchState, driver):
+        self.state = state
         self.driver = driver
 
-    def __enter__(self) -> Driver:
-        if self.driver._batch_depth == 0:
-            self.driver._batch_pcie_paid = False
-        self.driver._batch_depth += 1
+    def __enter__(self):
+        state = self.state
+        if state.depth == 0:
+            state.pcie_paid = False
+        state.depth += 1
         return self.driver
 
     def __exit__(self, *exc_info) -> None:
-        self.driver._batch_depth -= 1
-        if self.driver._batch_depth == 0:
-            self.driver._batch_pcie_paid = False
+        self.state.depth -= 1

@@ -77,11 +77,12 @@ class RegisterArray:
 
     def read_range(self, lo: int, hi: int) -> List[int]:
         """Read entries ``lo..hi`` inclusive (driver DMA-burst path)."""
-        self._check_index(lo)
-        self._check_index(hi)
-        if lo > hi:
+        values = self.values
+        if not 0 <= lo <= hi < len(values):
+            self._check_index(lo)
+            self._check_index(hi)
             raise SwitchError(f"register {self.name}: bad range [{lo}:{hi}]")
-        return self.values[lo : hi + 1]
+        return values[lo : hi + 1]
 
     def clear(self) -> None:
         # In place: the compiled pipeline closes over this list object,

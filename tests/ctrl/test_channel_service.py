@@ -5,7 +5,7 @@ arbitration, bounded queues with backpressure, and fairness stats."""
 import pytest
 
 from repro.ctrl import CtrlService, PipelinedChannel, PRIORITY_CLASSES
-from repro.errors import BackpressureError, DriverError
+from repro.errors import BackpressureError, DriverError, SwitchError
 from repro.runtime.scheduler import Scheduler
 from repro.switch.asic import STANDARD_METADATA_P4
 from repro.system import MantisSystem
@@ -75,6 +75,26 @@ def test_open_session_validates_priority_and_name():
         service.open_session("a", priority="mantis")  # duplicate
     with pytest.raises(DriverError):
         service.open_session("b", priority="realtime")  # unknown class
+
+
+def test_failed_apply_leaves_session_batch_pcie_owed():
+    """Session-scoped twin of the plain driver's rule: an op that
+    raises from ``apply`` is free, PCIe round trip included."""
+
+    def batch_cost(lead_with_bad_op: bool) -> float:
+        system = MantisSystem.from_source(PROGRAM, ctrl_service=True)
+        driver = system.agent_session.driver
+        start = system.clock.now
+        with driver.batch():
+            if lead_with_bad_op:
+                with pytest.raises(SwitchError):
+                    driver.add_entry("t", [1], "nonexistent_action", [1])
+                assert system.clock.now == start
+            driver.add_entry("t", [1], "set_a", [1])
+            driver.add_entry("t", [2], "set_a", [2])
+        return system.clock.now - start
+
+    assert batch_cost(True) == batch_cost(False)
 
 
 def test_submit_without_scheduler_is_an_error():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.net.events import EventQueue
 from repro.runtime import AgentActor, CallbackActor, Scheduler
 from repro.switch.clock import SimClock
 from repro.system import MantisSystem
@@ -198,3 +199,76 @@ class TestAgentActor:
         # Turns at start, +50, +100, +150 (each iteration costs < 50us
         # for this tiny program, so the cadence dominates).
         assert system.agent.iterations == 4
+
+
+class _CountingQueue(EventQueue):
+    """An ``EventQueue`` that counts its ``drain`` calls (installed by
+    re-classing a scheduler's live queue, so the real heap is kept)."""
+
+    drains = 0
+
+    def drain(self, now_us):
+        self.drains += 1
+        return super().drain(now_us)
+
+
+class TestEventAwareAdvance:
+    """A clock advance drains the queue only when an event is due --
+    and an event due exactly at an op's end still runs inside it."""
+
+    def _stack(self):
+        system = MantisSystem.from_source(PROGRAM)
+        scheduler = Scheduler(clock=system.clock)
+        scheduler.events.__class__ = _CountingQueue
+        return system, scheduler
+
+    def _op_end_time(self) -> float:
+        twin, _ = self._stack()
+        twin.driver.write_register("seen", 0, 1)
+        return twin.clock.now
+
+    def test_event_at_op_completion_runs_inside_the_op(self):
+        end = self._op_end_time()
+        system, scheduler = self._stack()
+        log = []
+        # ops_issued is bumped after the op's advance returns: seeing
+        # it unchanged proves the callback ran inside the op.
+        scheduler.at(end, lambda now: log.append(
+            (now, system.driver.ops_issued)
+        ))
+        scheduler.at(end + 1e-9, lambda now: log.append("late"))
+        system.driver.write_register("seen", 0, 1)
+        assert system.clock.now == end
+        assert log == [(end, 0)]
+        assert scheduler.events.drains == 1
+
+    def test_same_instant_follow_up_runs_in_the_same_drain(self):
+        end = self._op_end_time()
+        system, scheduler = self._stack()
+        log = []
+
+        def first(now):
+            log.append("first")
+            scheduler.call_soon(lambda now: log.append("follow-up"))
+
+        scheduler.at(end, first)
+        system.driver.write_register("seen", 0, 1)
+        assert log == ["first", "follow-up"]
+        assert scheduler.events.drains == 1
+        assert len(scheduler.events) == 0
+
+    def test_quiet_queue_is_never_drained(self):
+        system, scheduler = self._stack()
+        system.agent.prologue()
+        for _ in range(50):
+            system.agent.run_iteration()
+        assert scheduler.events.drains == 0
+        # A pending-but-distant event changes nothing ...
+        scheduler.at(system.clock.now + 1e6, lambda now: None)
+        for _ in range(50):
+            system.agent.run_iteration()
+        assert scheduler.events.drains == 0
+        assert system.driver.ops_issued >= 100 * 3
+        # ... until an advance reaches it.
+        scheduler.run_until(system.clock.now + 2e6, actors=False)
+        assert scheduler.events.processed == 1

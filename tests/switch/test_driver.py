@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DriverError
+from repro.errors import DriverError, SwitchError
 from repro.p4.parser import parse_p4
 from repro.switch.asic import STANDARD_METADATA_P4, SwitchAsic
 from repro.switch.driver import Driver, DriverCostModel
@@ -54,6 +54,31 @@ class TestCostModel:
             model.op_prep_us + model.register_write_us
         )
         assert elapsed == pytest.approx(expected)
+
+    @pytest.mark.parametrize("record_timeline", [False, True])
+    def test_failed_apply_leaves_batch_pcie_owed(self, record_timeline):
+        """An op whose ``apply`` raises costs nothing -- so it must not
+        use up its batch's PCIe round trip either (plain and full
+        tail)."""
+
+        def batch_cost(lead_with_bad_op: bool) -> float:
+            driver = Driver(
+                SwitchAsic(parse_p4(PROGRAM)), record_timeline=record_timeline
+            )
+            start = driver.clock.now
+            with driver.batch():
+                if lead_with_bad_op:
+                    with pytest.raises(SwitchError):
+                        driver.add_entry("t1", [1], "nonexistent_action", [1])
+                    assert driver.clock.now == start
+                driver.add_entry("t1", [1], "set_f", [1])
+                driver.add_entry("t1", [2], "set_f", [2])
+            return driver.clock.now - start
+
+        model = DriverCostModel()
+        assert batch_cost(True) == batch_cost(False) == pytest.approx(
+            model.pcie_rtt_us + 2 * (model.op_prep_us + model.table_add_us)
+        )
 
     def test_memoization_reduces_prep(self, driver):
         model = driver.model
