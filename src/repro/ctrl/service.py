@@ -41,10 +41,12 @@ from repro.errors import (
     BackpressureError,
     DriverError,
     DriverTimeoutError,
+    SwitchError,
     TransientDriverError,
 )
 from repro.switch.driver import (
     BatchState,
+    BulkPlan,
     Driver,
     MemoHandle,
     OpRecord,
@@ -197,10 +199,8 @@ class CtrlService:
 
     # ---- submission --------------------------------------------------------
 
-    def _submit(self, session: "CtrlSession", kind: str, target: str,
-                fault_target: str, device_us: float, prep_us: float,
-                apply: Callable[[], object], op_count: int,
-                on_done) -> OpTicket:
+    def _admit(self, session: "CtrlSession") -> None:
+        """Refuse a submit the session's bounded queue cannot take."""
         if self.scheduler is None:
             raise DriverError(
                 "pipelined submit needs a scheduler: call "
@@ -208,11 +208,17 @@ class CtrlService:
             )
         if session.pending >= session.queue_limit:
             session._saturated = True
-            self.class_stats[session.priority].rejected += 1
+            session.class_stats.rejected += 1
             raise BackpressureError(
                 f"session {session.name!r} queue full "
                 f"({session.queue_limit} pending)"
             )
+
+    def _submit(self, session: "CtrlSession", kind: str, target: str,
+                fault_target: str, device_us: float, prep_us: float,
+                apply: Callable[[], object], op_count: int,
+                on_done) -> OpTicket:
+        self._admit(session)
         now = self.clock.now
         self._seq += 1
         ticket = OpTicket(
@@ -235,8 +241,8 @@ class CtrlService:
             prep_us, prep_end, deadline, on_done, session, fault_target,
         )
         session.pending += 1
-        self.class_stats[session.priority].submitted += 1
-        self._queues[PRIORITY_CLASSES[session.priority]].append(op)
+        session.class_stats.submitted += 1
+        session.queue.append(op)
         self._pump()
         return ticket
 
@@ -289,7 +295,20 @@ class CtrlService:
         if fault is not None and fault.kind == "drop":
             pass  # silently lost write: window consumed, nothing lands
         else:
-            result = op.apply()
+            try:
+                result = op.apply()
+            except SwitchError as error:  # DriverError included
+                # The device refused the op (bad register index, dead
+                # entry id, full table): its window is spent, and the
+                # failure belongs to this ticket -- not to whichever
+                # client happens to be advancing the clock.  What a
+                # bulk chunk landed before the bad op stays landed.
+                driver.note_error(ticket.kind, str(error))
+                self.scheduler.at(
+                    sched.done_us,
+                    lambda _t, op=op, e=error: self._fail(op, e),
+                )
+                return
         extra = (
             fault.extra_us
             if fault is not None and fault.kind == "latency"
@@ -300,13 +319,15 @@ class CtrlService:
         # Latency faults on the pipelined path stretch the observed
         # completion, not the already-reserved device window.
         done_us = sched.done_us + extra
-        record = OpRecord(
-            ticket.submit_us, done_us, ticket.kind, ticket.target,
-            ticket.channel,
-            excl_start_us=sched.excl_start_us,
-            excl_end_us=sched.excl_end_us,
-            ops=ticket.op_count,
-        )
+        record = None
+        if driver.record_timeline:
+            record = OpRecord(
+                ticket.submit_us, done_us, ticket.kind, ticket.target,
+                ticket.channel,
+                excl_start_us=sched.excl_start_us,
+                excl_end_us=sched.excl_end_us,
+                ops=ticket.op_count,
+            )
         driver.complete_op(
             ticket.kind, fault_target, ticket.channel, record,
             op_count=ticket.op_count,
@@ -323,7 +344,6 @@ class CtrlService:
         rearm the op after backoff or surface a terminal error."""
         driver = self.driver
         ticket = op.ticket
-        self._release(op)
         policy = driver.retry_policy
         error: Exception = TransientDriverError(message)
         if policy is not None and ticket.attempts < policy.max_attempts:
@@ -334,8 +354,9 @@ class CtrlService:
             )
             retry_at = self.clock.now + backoff
             if op.deadline_us is None or retry_at <= op.deadline_us:
+                self._release(op)
                 driver.note_retry(ticket.kind)
-                self.class_stats[op.session.priority].retried += 1
+                op.session.class_stats.retried += 1
                 op.session.pending += 1
                 self.scheduler.at(
                     retry_at, lambda _t, op=op: self._rearm(op)
@@ -353,9 +374,16 @@ class CtrlService:
                 f"{ticket.kind} {ticket.target!r} failed after "
                 f"{ticket.attempts} attempts"
             )
+        self._fail(op, error)
+
+    def _fail(self, op: _PendingOp, error: Exception) -> None:
+        """Terminal failure, at the instant the op's channel slot
+        frees."""
+        ticket = op.ticket
+        self._release(op)
         ticket.done = True
         ticket.error = error
-        self.class_stats[op.session.priority].failed += 1
+        op.session.class_stats.failed += 1
         if op.on_done is not None:
             op.on_done(ticket)
         op.session._maybe_notify_drain()
@@ -365,7 +393,7 @@ class CtrlService:
         """Re-queue a retried op at the head of its class (it is the
         oldest submission in that class by construction)."""
         op.prep_end_us = self.clock.now  # prep buffer already built
-        self._queues[PRIORITY_CLASSES[op.session.priority]].appendleft(op)
+        op.session.queue.appendleft(op)
         self._pump()
 
     def _complete(self, op: _PendingOp, result, done_us: float) -> None:
@@ -373,7 +401,7 @@ class CtrlService:
         self._release(op)
         ticket.done = True
         ticket.result = result
-        stats = self.class_stats[op.session.priority]
+        stats = op.session.class_stats
         stats.completed += 1
         latency = done_us - ticket.submit_us
         stats.latency_us += latency
@@ -459,6 +487,10 @@ class CtrlSession:
         self.priority = priority
         self.channel = channel
         self.queue_limit = queue_limit
+        #: This session's arbitration class, resolved once: its stats
+        #: and its FIFO in the service.
+        self.class_stats = service.class_stats[priority]
+        self.queue = service._queues[PRIORITY_CLASSES[priority]]
         #: When this session's software-prep pipeline frees up.
         self.cpu_free_us = 0.0
         self.pending = 0
@@ -564,24 +596,30 @@ class CtrlSession:
     def submit_batch(self, ops: Sequence[Tuple],
                      on_done=None) -> List[OpTicket]:
         """Stream a heterogeneous write list as chunked DMA-burst
-        transactions; returns one ticket per chunk."""
-        driver = self.service.driver
-        chunk_size = self.service.bulk_chunk
+        transactions; returns one ticket per chunk.
+
+        A chunk is admitted against the queue limit *before* it is
+        planned (a refused chunk costs no lookups), and planned here,
+        at submit: verb, arity and unknown-target errors raise now,
+        device-side ones fail the chunk's ticket at its window."""
+        service = self.service
+        driver = service.driver
+        chunk_size = service.bulk_chunk
+        total = len(ops)
         tickets: List[OpTicket] = []
-        ops = list(ops)
-        for base in range(0, len(ops), chunk_size):
-            chunk = ops[base:base + chunk_size]
-            applies, table_entries, register_writes = \
-                _normalize_bulk_chunk(driver, chunk)
-            device_us = driver.model.bulk_write_cost(
-                table_entries, register_writes
+        for base in range(0, total, chunk_size):
+            service._admit(self)
+            plan = BulkPlan(
+                driver.asic,
+                ops if total <= chunk_size else ops[base:base + chunk_size],
             )
-            tickets.append(self.service._submit(
-                self, "bulk_write", f"bulk[{len(chunk)}]",
-                f"bulk[{len(chunk)}]",
-                device_us, driver.model.op_prep_us,
-                lambda fns=applies: [fn() for fn in fns],
-                len(chunk), on_done,
+            target = f"bulk[{plan.op_count}]"
+            tickets.append(service._submit(
+                self, "bulk_write", target, target,
+                driver.model.bulk_write_cost(
+                    plan.table_entries, plan.register_writes
+                ),
+                driver.model.op_prep_us, plan.apply, plan.op_count, on_done,
             ))
         return tickets
 
@@ -625,55 +663,6 @@ class CtrlSession:
             "p99_latency_us":
                 ordered[min(count - 1, int(count * 0.99))] if count else 0.0,
         }
-
-
-def _normalize_bulk_chunk(driver: Driver, ops: Sequence[Tuple]):
-    """Resolve one bulk chunk into apply closures + entry counts
-    (mirrors :meth:`Driver.write_batch`'s verb table)."""
-    applies: List[Callable[[], object]] = []
-    table_entries = 0
-    register_writes = 0
-    for op in ops:
-        verb = op[0]
-        if verb == "add":
-            _, table, key, action, args = op[:5]
-            priority = op[5] if len(op) > 5 else 0
-            runtime = driver.asic.get_table(table)
-            applies.append(
-                lambda r=runtime, k=key, a=action, g=args, p=priority:
-                    r.add_entry(k, a, g, p)
-            )
-            table_entries += 1
-        elif verb == "modify":
-            _, table, entry_id, action, args = op
-            runtime = driver.asic.get_table(table)
-            applies.append(
-                lambda r=runtime, e=entry_id, a=action, g=args:
-                    r.modify_entry(e, a, g)
-            )
-            table_entries += 1
-        elif verb == "delete":
-            _, table, entry_id = op
-            runtime = driver.asic.get_table(table)
-            applies.append(lambda r=runtime, e=entry_id: r.delete_entry(e))
-            table_entries += 1
-        elif verb == "set_default":
-            _, table, action, args = op
-            runtime = driver.asic.get_table(table)
-            applies.append(
-                lambda r=runtime, a=action, g=args: r.set_default(a, g)
-            )
-            table_entries += 1
-        elif verb == "write_register":
-            _, name, index, value = op
-            register = driver.asic.get_register(name)
-            applies.append(
-                lambda r=register, i=index, v=value: r.write(i, v)
-            )
-            register_writes += 1
-        else:
-            raise DriverError(f"unknown bulk op verb {verb!r}")
-    return applies, table_entries, register_writes
 
 
 class SessionDriver:

@@ -303,9 +303,10 @@ class Driver:
 
     def complete_op(
         self, kind: str, target: str, channel: str,
-        record: OpRecord, op_count: int = 1,
+        record: Optional[OpRecord], op_count: int = 1,
     ) -> None:
-        """Account one successfully applied op (service async path)."""
+        """Account one successfully applied op (service async path);
+        ``record`` is only needed while ``record_timeline`` is on."""
         self.ops_issued += op_count
         self._record_op(record)
         for hook in self.post_op_hooks:
@@ -745,75 +746,107 @@ class Driver:
         one bulk-priced device window (`DriverCostModel.bulk_write_cost`),
         occupies a single device-exclusive slot in the timeline, and
         counts ``len(ops)`` into ``ops_issued`` so op-count parity with
-        per-entry execution holds.  Fault admission happens once per
-        transaction: a transient failure rejects (and retries) the
-        batch *as a whole* before any mutation lands -- bulk writes are
-        all-or-nothing, never partially applied.
+        per-entry execution holds.
+
+        Errors come at two moments (see :class:`BulkPlan`).  An unknown
+        verb, a wrong-arity tuple or an undeclared table/register is
+        found while planning: nothing is mutated and nothing charged.
+        Fault admission happens once per transaction: an injected
+        transient failure rejects (and retries) the batch *as a whole*
+        before any mutation lands, so under injected faults a bulk
+        write is all-or-nothing.  A device-side error at op ``k`` (a
+        register index out of range, a dead entry id, a full table) is
+        only found while applying: it propagates uncharged with ops
+        ``< k`` landed, exactly as issuing them one by one leaves them.
 
         Returns the per-op results in order (entry ids for adds, else
         ``None``).
         """
-        ops = list(ops)
-        if not ops:
+        plan = BulkPlan(self.asic, ops)
+        if not plan.op_count:
             return []
-        applies: List[Callable[[], object]] = []
-        table_entries = 0
-        register_writes = 0
-        for op in ops:
-            verb = op[0]
-            if verb == "add":
-                _, table, key, action, args = op[:5]
-                priority = op[5] if len(op) > 5 else 0
-                runtime = self.asic.get_table(table)
-                applies.append(
-                    lambda r=runtime, k=key, a=action, g=args, p=priority:
-                        r.add_entry(k, a, g, p)
-                )
-                table_entries += 1
-            elif verb == "modify":
-                _, table, entry_id, action, args = op
-                runtime = self.asic.get_table(table)
-                applies.append(
-                    lambda r=runtime, e=entry_id, a=action, g=args:
-                        r.modify_entry(e, a, g)
-                )
-                table_entries += 1
-            elif verb == "delete":
-                _, table, entry_id = op
-                runtime = self.asic.get_table(table)
-                applies.append(
-                    lambda r=runtime, e=entry_id: r.delete_entry(e)
-                )
-                table_entries += 1
-            elif verb == "set_default":
-                _, table, action, args = op
-                runtime = self.asic.get_table(table)
-                applies.append(
-                    lambda r=runtime, a=action, g=args: r.set_default(a, g)
-                )
-                table_entries += 1
-            elif verb == "write_register":
-                _, name, index, value = op
-                register = self.asic.get_register(name)
-                applies.append(
-                    lambda r=register, i=index, v=value: r.write(i, v)
-                )
-                register_writes += 1
-            else:
-                raise DriverError(f"unknown bulk op verb {verb!r}")
-        device_cost = self.model.bulk_write_cost(table_entries, register_writes)
         result = self._execute(
             "bulk_write",
-            f"bulk[{len(ops)}]",
-            device_cost,
+            f"bulk[{plan.op_count}]",
+            self.model.bulk_write_cost(plan.table_entries, plan.register_writes),
             None,
             channel,
-            lambda: [fn() for fn in applies],
+            plan.apply,
             session=session,
-            op_count=len(ops),
+            op_count=plan.op_count,
         )
         self.bulk_txns += 1
         return result
+
+
+class BulkPlan:
+    """One bulk transaction's op tuples (:meth:`Driver.write_batch`
+    lists the verbs), resolved in a single ordered pass -- the only
+    place the verb table lives; the blocking driver and the pipelined
+    service (``CtrlSession.submit_batch``) both build one per
+    transaction and run :meth:`apply` inside its device window.
+
+    Planning checks verb and arity, resolves each target once and
+    copies the arguments out of the caller's tuples.  Consecutive
+    ``write_register`` ops on one register coalesce into a single
+    ``RegisterArray.write_run(indices, values)`` step; a table verb is
+    one ``(bound method, args)`` step.  ``steps`` holds ``(position of
+    the step's first op, callable, args)`` in op order.
+    """
+
+    __slots__ = ("steps", "op_count", "table_entries", "register_writes")
+
+    def __init__(self, asic: SwitchAsic, ops: Sequence[Tuple]):
+        get_table, get_register = asic.get_table, asic.get_register
+        steps: List[Tuple[int, Callable[..., object], tuple]] = []
+        table_entries = 0
+        run_name = None
+        pos = -1
+        for pos, op in enumerate(ops):
+            verb = op[0]
+            if verb == "write_register":
+                _, name, index, value = op
+                if name != run_name:
+                    run_name = name
+                    indices: List[int] = []
+                    values: List[int] = []
+                    steps.append(
+                        (pos, get_register(name).write_run, (indices, values))
+                    )
+                indices.append(index)
+                values.append(value)
+                continue
+            if verb == "add":
+                _, table, key, action, args = op[:5]
+                priority = op[5] if len(op) > 5 else 0
+                step = get_table(table).add_entry, (key, action, args, priority)
+            elif verb == "modify":
+                _, table, entry_id, action, args = op
+                step = get_table(table).modify_entry, (entry_id, action, args)
+            elif verb == "delete":
+                _, table, entry_id = op
+                step = get_table(table).delete_entry, (entry_id,)
+            elif verb == "set_default":
+                _, table, action, args = op
+                step = get_table(table).set_default, (action, args)
+            else:
+                raise DriverError(f"unknown bulk op verb {verb!r}")
+            run_name = None
+            table_entries += 1
+            steps.append((pos, *step))
+        self.steps = steps
+        self.op_count = pos + 1
+        self.table_entries = table_entries
+        self.register_writes = pos + 1 - table_entries
+
+    def apply(self) -> List[object]:
+        """Run the steps in order; per-op results (entry ids for adds,
+        else ``None``).  A step that raises leaves the earlier ones
+        (and the earlier elements of its own run) applied."""
+        results: List[object] = [None] * self.op_count
+        for pos, fn, args in self.steps:
+            results[pos] = fn(*args)
+        return results
 
 
 class BatchState:

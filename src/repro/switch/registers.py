@@ -63,6 +63,18 @@ class RegisterArray:
         for index, value in zip(indices, new_values):
             values[index] = value & mask
 
+    def write_run(self, indices: List[int], new_values: List[int]) -> None:
+        """Bounds-checked :meth:`bulk_write` (driver bulk transactions):
+        writes land in order, and a bad index raises exactly what
+        :meth:`write` raises there, with the elements before it landed."""
+        values = self.values
+        mask = self.mask
+        size = len(values)
+        for index, value in zip(indices, new_values):
+            if not 0 <= index < size:
+                self._check_index(index)
+            values[index] = value & mask
+
     def bulk_add(self, indices: List[int], deltas: List[int]) -> None:
         """Wrapping add of many ``(index, delta)`` pairs at once.
 

@@ -2,6 +2,8 @@
 service: reservation math, in-flight window, strict-priority
 arbitration, bounded queues with backpressure, and fairness stats."""
 
+import sys
+
 import pytest
 
 from repro.ctrl import CtrlService, PipelinedChannel, PRIORITY_CLASSES
@@ -190,6 +192,110 @@ def test_try_submit_returns_none_instead_of_raising():
     assert session.try_submit_batch(
         [("write_register", "scratch", 2, 1)]
     ) is None
+    service.drain()
+
+
+def test_apply_error_fails_its_own_ticket_not_the_clock_advancer():
+    """A device-side error inside a pipelined op's window (here: a bulk
+    chunk with an out-of-range register index, and a modify of a dead
+    entry id) belongs to that op's ticket.  It must not surface in
+    whichever client is advancing the clock, leak the window slot, or
+    stall the submitter's drain."""
+    system, _, service = make_stack(window=2)
+    loader = service.open_session("loader", priority="bulk")
+    agent = service.open_session("agent2", priority="mantis")
+    finished = []
+    (bad,) = loader.submit_batch([
+        ("write_register", "scratch", 0, 11),
+        ("write_register", "scratch", 999, 1),
+        ("write_register", "scratch", 1, 22),
+    ], on_done=finished.append)
+    dead = loader.submit_modify("t", 12345, None, [1], on_done=finished.append)
+    good = agent.submit_write_register("scratch", 5, 55)
+    agent.drain()  # parent: SwitchError from the loader's op raised here
+    assert good.done and good.error is None
+    loader.drain()  # parent: "drain stalled"
+    assert finished == [bad, dead]
+    for ticket in (bad, dead):
+        assert ticket.done and ticket.result is None
+        assert isinstance(ticket.error, SwitchError)
+    assert "999" in str(bad.error)
+    assert service.in_flight == 0 and loader.in_flight == 0
+    assert service.class_stats["bulk"].failed == 2
+    assert service.class_stats["bulk"].completed == 0
+    assert system.driver.errors_total == 2
+    assert system.driver.last_error == str(dead.error)
+    # Ops before the failing one landed, the ones after did not --
+    # what blocking write_batch leaves -- and nothing was counted.
+    register = system.asic.registers["scratch"]
+    assert [register.read(i) for i in (0, 1, 5)] == [11, 0, 55]
+    assert system.driver.ops_issued == 1
+    assert system.driver.bulk_txns == 0
+    # The window the failed chunk reserved was consumed, and the
+    # channel keeps working afterwards.
+    assert bad.schedule.excl_end_us <= dead.schedule.excl_start_us
+    assert loader.submit_batch(
+        [("write_register", "scratch", 1, 22)]
+    )[0].error is None
+    loader.drain()
+    assert register.read(1) == 22
+
+
+def _python_calls(fn):
+    """Names of the Python functions ``fn()`` enters (``call`` events
+    under ``sys.setprofile``; C functions are ``c_call`` and not
+    counted)."""
+    names = []
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return names
+
+
+def test_bulk_chunk_is_planned_not_interpreted_per_op():
+    """Structural tripwire (no timing): one 64-op single-register chunk
+    costs a fixed handful of Python calls from submit to completion --
+    not a closure, a lookup and a bounds-check frame per op (296 calls
+    before the plan, 42 with it)."""
+    _, _, service = make_stack(window=4, bulk_chunk=64)
+    session = service.open_session("loader", priority="bulk")
+    ops = [("write_register", "scratch", i % 64, i) for i in range(64)]
+
+    def one_chunk():
+        session.submit_batch(ops)
+        session.drain()
+
+    one_chunk()  # warm: first-use paths are not the steady state
+    calls = _python_calls(one_chunk)
+    assert len(calls) <= 50, sorted(calls)
+    assert calls.count("get_register") == 1
+    assert calls.count("write_run") == 1
+
+
+def test_refused_chunk_is_not_planned():
+    """Admission comes before planning: a chunk refused on a full
+    queue resolves nothing."""
+    _, _, service = make_stack(window=1)
+    session = service.open_session("loader", priority="bulk", queue_limit=1)
+    ops = [("write_register", "scratch", i, i) for i in range(8)]
+    session.submit_batch(ops)  # in the window
+    session.submit_batch(ops)  # fills the queue
+    refused = []
+    calls = _python_calls(
+        lambda: refused.append(session.try_submit_batch(ops))
+    )
+    assert refused == [None]
+    assert service.class_stats["bulk"].rejected == 1
+    assert "get_register" not in calls and "get_table" not in calls
+    assert "__init__" not in calls  # no plan, no ticket
     service.drain()
 
 

@@ -91,6 +91,25 @@ class TestRegisterArray:
         with pytest.raises(SwitchError):
             reg.read_range(4, 2)
 
+    def test_write_run_is_masked_and_in_order(self):
+        reg = RegisterArray("r", width=8, instance_count=4)
+        reg.write_run([1, 3, 1], [0x1FF, 7, 0x2AB])
+        # Masked to the width; a repeated index keeps the last write.
+        assert reg.values == [0, 0xAB, 0, 7]
+        reg.write_run([], [])
+        assert reg.values == [0, 0xAB, 0, 7]
+
+    @pytest.mark.parametrize("bad", [-1, 4, 999])
+    def test_write_run_bad_index_raises_like_write(self, bad):
+        reg = RegisterArray("r", instance_count=4)
+        with pytest.raises(SwitchError) as single:
+            reg.write(bad, 1)
+        with pytest.raises(SwitchError) as run:
+            reg.write_run([0, 2, bad, 3], [10, 20, 30, 40])
+        assert str(run.value) == str(single.value)
+        # The elements before the bad one landed, the rest did not.
+        assert reg.values == [10, 0, 20, 0]
+
     def test_byte_size(self):
         assert RegisterArray("r", width=32, instance_count=8).byte_size == 32
         assert RegisterArray("r", width=19, instance_count=2).byte_size == 6
