@@ -5,14 +5,15 @@ Pumps the Figure 15 DoS data-plane workload (blocklist, accounting
 with register read-modify-write, exact routing -- as compiled from
 P4R by the Mantis compiler) through ``SwitchAsic.process`` under both
 execution modes, then through the burst-mode ``process_batch`` path
-(pooled packets, op-major sweeps, fused actions), then through the
-columnar struct-of-arrays sweep (``process_batch_columnar`` over a
-``ColumnarPool``, best of the batch-size sweep), and asserts the
-compiled engine is at least 3x the interpreter's packet rate, the
-batch path faster than the compiled per-packet rate, and the columnar
-path at least 5x the batch rate.  (The batch path used to be gated at
-2x over per-packet; the generated per-packet controls closed most of
-that gap from below, so the ratio is reported, not gated.)  The ECMP rotating-hash workload
+on the compiled engine (pooled packets, the generated controls run
+lane by lane), then through the columnar struct-of-arrays sweep
+(``process_batch_columnar`` over a ``ColumnarPool``, best of the
+batch-size sweep), and asserts the compiled engine is at least 3x the
+interpreter's packet rate, the batch path faster than the compiled
+per-packet rate, and the columnar path at least 5x the batch rate.
+(The batch path used to be gated at 2x over per-packet; the generated
+per-packet controls closed most of that gap from below, so the ratio
+is reported, not gated.)  The ECMP rotating-hash workload
 (vectorized crc16 + dynamic-index egress counter) must also hit 5x
 over batch with no ``drain:`` fallbacks.  All numbers land in a JSON
 artifact so the speedups are tracked across PRs.
@@ -65,7 +66,7 @@ def test_fastpath_speedup(bench_once, bench_json_path):
         f"(target {MIN_SPEEDUP}x): {result}"
     )
     assert result["batch_pps"] > result["compiled_pps"]
-    # The DoS ingress is fully op-major-admissible, so no lane may fall
+    # The DoS ingress is fully columnar-admissible, so no lane may fall
     # back: a nonempty fallback map means the lowering regressed.
     assert not result["columnar_fallbacks"], result["columnar_fallbacks"]
     assert result["columnar_speedup_vs_batch"] >= MIN_COLUMNAR_SPEEDUP, (

@@ -69,13 +69,17 @@ class CounterRuntime:
 
 @dataclass
 class BatchStats:
-    """Always-on aggregates for the batch path.
+    """Always-on aggregates for the burst path.
 
-    ``fused`` counts packets fully handled by the single-pass fast
-    loop; ``slow_path`` counts packets that fell back to the generic
-    pass-by-pass loop (recirculation, a scalar table fallback, or the
-    reference engine).  ``packets == fused + slow_path`` always holds,
-    including on error paths.
+    ``fused`` counts packets a burst finished in one pass with no
+    scalar help: lane by lane through the bound controls, or entirely
+    inside the columnar sweeps.  ``slow_path`` counts the rest:
+    recirculated packets, columnar lanes that needed scalar
+    assistance, and lanes a mid-burst :class:`SwitchError` left
+    unfinished.  An error still counts the whole burst -- ``packets``
+    and :attr:`SwitchAsic.packets_processed` both grow by its length
+    on every engine -- so ``packets == fused + slow_path`` always
+    holds.
 
     ``columnar`` counts packets that entered the columnar engine's
     vectorized sweeps; of those, ``columnar_fallback`` needed scalar
@@ -195,10 +199,20 @@ class SwitchAsic:
     def _bind_executor(self, executor) -> None:
         """Select an engine and bind its two controls once, so
         :meth:`process` pays one call per control block and no
-        per-packet lookup (``None``: the program has no such control)."""
+        per-packet lookup (``None``: the program has no such control).
+
+        The burst shape is fixed here too: columnar sweeps when the
+        engine has a plan for the program, otherwise ``None`` and
+        :meth:`process_batch` runs the bound controls lane by lane
+        (scalar engines, profiling, programs the columnar admission
+        rejects)."""
         self.executor = executor
         self._ingress = executor.bound_control("ingress")
         self._egress = executor.bound_control("egress")
+        self._ingress_sweeps = self._egress_sweeps = None
+        if isinstance(executor, ColumnarPipeline):
+            self._ingress_sweeps = executor.columnar_ops("ingress")
+            self._egress_sweeps = executor.columnar_ops("egress")
 
     def _ensure_standard_metadata(self) -> None:
         if "standard_metadata" in self.program.headers:
@@ -366,12 +380,13 @@ class SwitchAsic:
         """Run a burst of packets through the pipeline in one call.
 
         Semantically identical to calling :meth:`process` per packet --
-        same results, counters, timestamps, and port statistics -- but
-        with the per-packet binding work hoisted out of the loop: the
-        control functions, port list, and timestamp are resolved once
-        per batch, and the common single-pass forward path runs fused.
-        Drops stay inline; recirculation falls back to the generic
-        pass-by-pass loop per packet.
+        same results, counters, timestamps, and port statistics.  A
+        burst takes one of two shapes, fixed when the engine was bound:
+        the columnar engine's vectorized sweeps when it has a plan for
+        the program, otherwise the bound controls lane by lane, with
+        the port list and timestamp resolved once per burst.  Drops
+        stay inline; recirculation finishes its extra passes per
+        packet.
 
         ``times`` optionally gives each packet a notional clock value
         (the network simulator's burst coalescing: one event, exact
@@ -388,44 +403,24 @@ class SwitchAsic:
         recirculates -- ``admit`` commits enqueues before the egress
         sweeps run, which is exactly the scalar interleaving only
         under that guarantee (the vectorized tail enforces it).
+
+        A :class:`SwitchError` (an out-of-range ``egress_spec``, say)
+        propagates after the lanes before it have fully committed; the
+        whole burst still counts, unreached lanes as ``slow_path``
+        (see :class:`BatchStats`).
         """
-        executor = self.executor
-        get_plan = getattr(executor, "batch_ops", None)
-        if get_plan is None:
-            if tm is not None and sink is None:
-                sink = tm.sink
-            return self._batch_reference(packets, times, sink)
-        get_columnar = getattr(executor, "columnar_ops", None)
-        if get_columnar is not None:
-            sweeps = get_columnar("ingress")
-            if sweeps is not None:
-                executor.begin_batch()
-                batch = ColumnarBatch.from_packets(
+        if self._ingress_sweeps is not None:
+            return self._batch_columnar(
+                ColumnarBatch.from_packets(
                     packets if isinstance(packets, list) else list(packets)
-                )
-                return self._batch_columnar(
-                    batch, times, sink, sweeps, True, tm
-                )
+                ),
+                times, sink, True, tm,
+            )
         if tm is not None and sink is None:
-            # Scalar engines take the traffic manager's per-lane view.
+            # The lane loop takes the traffic manager's per-lane view.
             sink = tm.sink
-        get_major = getattr(executor, "batch_major_ops", None)
-        if get_major is not None:
-            major_ops = get_major("ingress")
-            if major_ops is not None:
-                executor.begin_batch()
-                return self._batch_major(
-                    packets, times, sink, major_ops, get_plan("egress") or ()
-                )
-        ingress_ops = get_plan("ingress")
-        egress_ops = get_plan("egress")
-        if ingress_ops is None:
-            # Profiling: no fused plan; route each packet through the
-            # counting generated controls instead.
-            ingress_ops = () if self._ingress is None else (self._ingress,)
-            egress_ops = () if self._egress is None else (self._egress,)
-        else:
-            executor.begin_batch()
+        ingress = self._ingress
+        egress = self._egress
         ports = self.ports
         num_ports = self.num_ports
         queue_model = self.queue_model
@@ -433,22 +428,13 @@ class SwitchAsic:
         shared_ts = int(clock_now) if times is None else None
         results: List[ProcessResult] = []
         append = results.append
-        processed = 0
         passes = 0
         dropped = 0
         fused = 0
-        slow = 0
         drop_key = "standard_metadata.drop_flag"
-        accounted = True
         try:
             for index, packet in enumerate(packets):
-                processed += 1
                 passes += 1
-                # Until this lane lands in ``fused`` or ``slow``, an
-                # engine error (e.g. out-of-range egress_spec) must
-                # still bucket it so packets == fused + slow_path
-                # survives the partial-batch counter flush below.
-                accounted = False
                 fields = packet.fields
                 if shared_ts is None:
                     t_now = times[index]
@@ -457,153 +443,9 @@ class SwitchAsic:
                     t_now = clock_now
                     ts = shared_ts
                 fields["standard_metadata.ingress_global_timestamp"] = ts
-                for op in ingress_ops:
-                    if fields[drop_key]:
-                        break
-                    op(packet)
-                if fields[drop_key]:
-                    dropped += 1
-                    fused += 1
-                    accounted = True
-                    append(None)
-                    if sink is not None:
-                        sink(index, None)
-                    continue
-                port_id = fields["standard_metadata.egress_spec"]
-                if not 0 <= port_id < num_ports:
-                    raise SwitchError(
-                        f"egress_spec {port_id} out of range"
-                    )
-                fields["standard_metadata.egress_port"] = port_id
-                if queue_model is not None:
-                    depth = queue_model(port_id, t_now)
-                else:
-                    depth = ports[port_id].queue_depth
-                fields["standard_metadata.enq_qdepth"] = depth
-                fields["standard_metadata.deq_qdepth"] = depth
-                fields["standard_metadata.egress_global_timestamp"] = ts
-                for op in egress_ops:
-                    if fields[drop_key]:
-                        break
-                    op(packet)
-                if fields[drop_key]:
-                    dropped += 1
-                    fused += 1
-                    accounted = True
-                    append(None)
-                    if sink is not None:
-                        sink(index, None)
-                    continue
-                if fields["standard_metadata.recirculate_flag"]:
-                    slow += 1
-                    accounted = True
-                    extra, result = self._recirculate(packet, t_now, ts)
-                    passes += extra
-                    if result is None:
-                        dropped += 1
-                    append(result)
-                    if sink is not None:
-                        sink(index, result)
-                    continue
-                fused += 1
-                accounted = True
-                port = ports[port_id]
-                port.tx_packets += 1
-                port.tx_bytes += packet.size_bytes
-                result = (port_id, packet)
-                append(result)
-                if sink is not None:
-                    sink(index, result)
-        except SwitchError:
-            if not accounted:
-                slow += 1
-            raise
-        finally:
-            self.packets_processed += processed
-            self.pipeline_passes += passes
-            self.packets_dropped += dropped
-            stats = self.batch_stats
-            stats.batches += 1
-            stats.packets += processed
-            stats.fused += fused
-            stats.slow_path += slow
-        return results
-
-    def _batch_major(
-        self,
-        packets: Sequence[Packet],
-        times: Optional[Sequence[float]],
-        sink: Optional[Callable[[int, ProcessResult], None]],
-        ingress_ops: Sequence[Callable[[List[Packet]], None]],
-        egress_ops: Sequence[Callable[[Packet], None]],
-    ) -> List[ProcessResult]:
-        """Op-major burst execution: each compiled ingress table sweeps
-        the whole batch before the next runs, so the apply-frame cost is
-        paid once per table per *batch* instead of per packet.
-
-        Only reached when :meth:`CompiledPipeline.batch_major_ops`
-        proved the reordering unobservable (straight-line exact-match
-        ingress, pairwise-disjoint register/counter/RNG footprints, no
-        stateful recirculation); per-packet traffic-manager and egress
-        work still runs in arrival order so queue accounting via
-        ``sink`` sees packet ``i`` enqueued before ``i + 1``.
-        """
-        batch = packets if isinstance(packets, list) else list(packets)
-        ports = self.ports
-        num_ports = self.num_ports
-        queue_model = self.queue_model
-        clock_now = self.clock.now
-        if times is None:
-            stamps: Optional[List[int]] = None
-            shared_ts = int(clock_now)
-            for packet in batch:
-                packet.fields[
-                    "standard_metadata.ingress_global_timestamp"
-                ] = shared_ts
-        else:
-            stamps = [int(t) for t in times]
-            shared_ts = 0
-            for packet, ts in zip(batch, stamps):
-                packet.fields[
-                    "standard_metadata.ingress_global_timestamp"
-                ] = ts
-        results: List[ProcessResult] = []
-        append = results.append
-        processed = len(batch)
-        passes = len(batch)
-        dropped = 0
-        fused = 0
-        slow = 0
-        drop_key = "standard_metadata.drop_flag"
-        try:
-            try:
-                for batch_op in ingress_ops:
-                    batch_op(batch)
-            except SwitchError:
-                # Every lane was mid-sweep; bucket them all so
-                # packets == fused + slow_path holds in the flush.
-                slow += len(batch)
-                raise
-            index = -1
-            accounted = True
-            try:
-                for index, packet in enumerate(batch):
-                    accounted = False
-                    fields = packet.fields
-                    if stamps is None:
-                        t_now = clock_now
-                        ts = shared_ts
-                    else:
-                        t_now = times[index]
-                        ts = stamps[index]
-                    if fields[drop_key]:
-                        dropped += 1
-                        fused += 1
-                        accounted = True
-                        append(None)
-                        if sink is not None:
-                            sink(index, None)
-                        continue
+                if ingress is not None:
+                    ingress(packet)
+                if not fields[drop_key]:
                     port_id = fields["standard_metadata.egress_spec"]
                     if not 0 <= port_id < num_ports:
                         raise SwitchError(
@@ -617,61 +459,38 @@ class SwitchAsic:
                     fields["standard_metadata.enq_qdepth"] = depth
                     fields["standard_metadata.deq_qdepth"] = depth
                     fields["standard_metadata.egress_global_timestamp"] = ts
-                    for op in egress_ops:
-                        if fields[drop_key]:
-                            break
-                        op(packet)
-                    if fields[drop_key]:
-                        dropped += 1
-                        fused += 1
-                        accounted = True
-                        append(None)
-                        if sink is not None:
-                            sink(index, None)
-                        continue
-                    if fields["standard_metadata.recirculate_flag"]:
-                        slow += 1
-                        accounted = True
-                        extra, result = self._recirculate(packet, t_now, ts)
-                        passes += extra
-                        if result is None:
-                            dropped += 1
-                        append(result)
-                        if sink is not None:
-                            sink(index, result)
-                        continue
+                    if egress is not None:
+                        egress(packet)
+                if fields[drop_key]:
+                    dropped += 1
                     fused += 1
-                    accounted = True
+                    result = None
+                elif fields["standard_metadata.recirculate_flag"]:
+                    extra, result = self._recirculate(packet, t_now, ts)
+                    passes += extra
+                    if result is None:
+                        dropped += 1
+                else:
+                    fused += 1
                     port = ports[port_id]
                     port.tx_packets += 1
                     port.tx_bytes += packet.size_bytes
                     result = (port_id, packet)
-                    append(result)
-                    if sink is not None:
-                        sink(index, result)
-            except SwitchError:
-                # The failing lane plus every unreached lane was
-                # already counted in ``processed`` up front: bucket
-                # the failing lane as slow, finished-by-ingress drops
-                # as fused, and the rest as slow.
-                if not accounted:
-                    slow += 1
-                for later in batch[index + 1:]:
-                    if later.fields[drop_key]:
-                        dropped += 1
-                        fused += 1
-                    else:
-                        slow += 1
-                raise
+                append(result)
+                if sink is not None:
+                    sink(index, result)
         finally:
-            self.packets_processed += processed
+            # Every lane not finished in one pass -- recirculated,
+            # failing, or never reached -- is slow path.
+            n = len(packets)
+            self.packets_processed += n
             self.pipeline_passes += passes
             self.packets_dropped += dropped
             stats = self.batch_stats
             stats.batches += 1
-            stats.packets += processed
+            stats.packets += n
             stats.fused += fused
-            stats.slow_path += slow
+            stats.slow_path += n - fused
         return results
 
     def process_batch_columnar(
@@ -682,37 +501,35 @@ class SwitchAsic:
         """Native columnar entry: run a (typically pool-backed) batch
         and return per-lane egress ports without materializing
         ``Packet`` objects -- the benchmark fast path.  Requires the
-        columnar engine with an op-major-admissible program; use
+        columnar engine with a columnar-admissible program; use
         :meth:`process_batch` for the always-available path."""
-        executor = self.executor
-        get_columnar = getattr(executor, "columnar_ops", None)
-        sweeps = get_columnar("ingress") if get_columnar is not None else None
-        if sweeps is None:
+        if self._ingress_sweeps is None:
             raise SwitchError(
                 "process_batch_columnar requires execution_mode='columnar' "
-                "with an op-major-admissible program (and profiling off)"
+                "with a columnar-admissible program (and profiling off)"
             )
-        executor.begin_batch()
-        return self._batch_columnar(batch, times, None, sweeps, False)
+        return self._batch_columnar(batch, times, None, False)
 
     def _batch_columnar(
         self,
         batch: ColumnarBatch,
         times: Optional[Sequence[float]],
         sink: Optional[Callable[[int, ProcessResult], None]],
-        sweeps,
         collect: bool,
         tm: Optional[object] = None,
     ):
-        """Columnar burst execution: vectorized op-major ingress
+        """Columnar burst execution: vectorized table-major ingress
         sweeps, then either a vectorized traffic-manager/egress tail
         (no sink, vectorizable egress, in-range specs, and either no
-        queue model or a caller-provided batched ``tm``) or the
-        scalar per-lane tail with exact :meth:`_batch_major`
-        semantics.  Returns per-packet results (``collect``) or a
-        :class:`ColumnarResult`."""
+        queue model or a caller-provided batched ``tm``) or a scalar
+        per-lane tail that runs the traffic manager and the bound
+        egress control in lane order, exactly like the second half of
+        :meth:`process_batch`'s lane loop.  Returns per-packet results
+        (``collect``) or a :class:`ColumnarResult`."""
         np = columnar_engine.np
         executor = self.executor
+        sweeps = self._ingress_sweeps
+        egress_sweeps = self._egress_sweeps
         n = batch.n
         ports = self.ports
         num_ports = self.num_ports
@@ -747,7 +564,6 @@ class SwitchAsic:
                 # packets == fused + slow_path holds in the flush.
                 state.fallback[:] = True
                 raise
-            egress_sweeps = executor.columnar_ops("egress")
             drop = batch.col(drop_key)
             live_mask = drop == 0
             if sink is not None:
@@ -872,7 +688,7 @@ class SwitchAsic:
                     lanes = np.nonzero(recirc_mask)[0]
                     extra, lane_ports = self._recirculate_columnar(
                         batch, lanes, times, stamps, shared_ts,
-                        clock_now, sweeps, egress_sweeps, state,
+                        clock_now, state,
                     )
                     passes += extra
                     tm_ports[lanes] = lane_ports
@@ -892,13 +708,13 @@ class SwitchAsic:
                             results[lane] = (port_list[lane], packets[lane])
                     return results
                 return ColumnarResult(tm_ports, n - dropped, dropped)
-            # ---- scalar tail (exact _batch_major semantics) ----
+            # ---- scalar tail: TM + bound egress control per lane ----
             if tm is not None and sink is None:
                 sink = tm.sink
             executor.count_fallback(tail_reason, n)
             batch.flush()
             packets = batch.packets
-            egress_ops = executor.batch_ops("egress") or ()
+            egress = self._egress
             lane_ports = None if collect else np.full(n, -1, np.int64)
             index = -1
             accounted = True
@@ -931,10 +747,8 @@ class SwitchAsic:
                     fields["standard_metadata.enq_qdepth"] = depth
                     fields["standard_metadata.deq_qdepth"] = depth
                     fields["standard_metadata.egress_global_timestamp"] = ts
-                    for op in egress_ops:
-                        if fields[drop_key]:
-                            break
-                        op(packet)
+                    if egress is not None:
+                        egress(packet)
                     if fields[drop_key]:
                         dropped += 1
                         accounted = True
@@ -969,9 +783,8 @@ class SwitchAsic:
                     if sink is not None:
                         sink(index, (port_id, packet))
             except SwitchError:
-                # Same bucketing as _batch_major: the failing lane
-                # counts slow, unreached lanes count by their
-                # ingress-time drop flag.
+                # The failing lane counts slow; unreached lanes already
+                # finished ingress, so they count by its drop flag.
                 if not accounted:
                     state.fallback[index] = True
                 for later_index in range(index + 1, n):
@@ -996,106 +809,40 @@ class SwitchAsic:
             stats.columnar += processed
             stats.columnar_fallback += slow
 
-    def _batch_reference(
-        self,
-        packets: Sequence[Packet],
-        times: Optional[Sequence[float]],
-        sink: Optional[Callable[[int, ProcessResult], None]],
-    ) -> List[ProcessResult]:
-        """Batch entry for engines without a fused loop: the scalar
-        path per packet (the differential reference)."""
-        results: List[ProcessResult] = []
-        stats = self.batch_stats
-        stats.batches += 1
-        stats.packets += len(packets)
-        stats.slow_path += len(packets)
-        for index, packet in enumerate(packets):
-            if times is None:
-                result = self.process(packet)
-            else:
-                result = self._process_at(packet, times[index])
-            results.append(result)
-            if sink is not None:
-                sink(index, result)
-        return results
-
-    def _process_at(self, packet: Packet, now: float) -> ProcessResult:
-        """:meth:`process` with an explicit notional clock value;
-        mirrors its structure exactly (same counters, same pass
-        bounds) so burst and per-packet runs stay bit-identical."""
-        self.packets_processed += 1
-        executor = self.executor
-        fields = packet.fields
-        ts = int(now)
-        for _pass in range(1 + MAX_RECIRCULATIONS):
-            self.pipeline_passes += 1
-            fields["standard_metadata.ingress_global_timestamp"] = ts
-            executor.run_control("ingress", packet)
-            if fields["standard_metadata.drop_flag"]:
-                break
-            self._traffic_manager_at(packet, now, ts)
-            executor.run_control("egress", packet)
-            if (
-                fields["standard_metadata.drop_flag"]
-                or not fields["standard_metadata.recirculate_flag"]
-            ):
-                break
-            fields["standard_metadata.recirculate_flag"] = 0
-        if fields["standard_metadata.drop_flag"]:
-            self.packets_dropped += 1
-            return None
-        port_id = fields["standard_metadata.egress_port"]
-        port = self.ports[port_id]
-        port.tx_packets += 1
-        port.tx_bytes += packet.size_bytes
-        return port_id, packet
-
     def _recirculate(
         self, packet: Packet, now: float, ts: int
     ) -> Tuple[int, ProcessResult]:
-        """Passes 2..N of a packet whose first (fused) pass requested
+        """Passes 2..N of a packet whose first pass requested
         recirculation; mirrors the tail of :meth:`process`.  Returns
         ``(extra_passes, result)``; the caller owns the counters."""
-        executor = self.executor
         fields = packet.fields
-        extra = 0
         fields["standard_metadata.recirculate_flag"] = 0
-        for _pass in range(MAX_RECIRCULATIONS):
-            extra += 1
-            fields["standard_metadata.ingress_global_timestamp"] = ts
-            executor.run_control("ingress", packet)
-            if fields["standard_metadata.drop_flag"]:
-                break
-            self._traffic_manager_at(packet, now, ts)
-            executor.run_control("egress", packet)
-            if (
-                fields["standard_metadata.drop_flag"]
-                or not fields["standard_metadata.recirculate_flag"]
-            ):
-                break
-            fields["standard_metadata.recirculate_flag"] = 0
+        fields["standard_metadata.ingress_global_timestamp"] = ts
+        if self._ingress is not None:
+            self._ingress(packet)
         if fields["standard_metadata.drop_flag"]:
-            return extra, None
-        port_id = fields["standard_metadata.egress_port"]
-        port = self.ports[port_id]
-        port.tx_packets += 1
-        port.tx_bytes += packet.size_bytes
-        return extra, (port_id, packet)
+            return 1, None
+        extra, result = self._recirculate_tail(
+            packet, now, ts, MAX_RECIRCULATIONS - 1
+        )
+        return 1 + extra, result
 
     def _recirculate_tail(
         self, packet: Packet, now: float, ts: int, budget: int
     ) -> Tuple[int, ProcessResult]:
         """Finish one recirculation pass from the traffic manager
-        onward (the columnar loop already ran this pass's ingress),
-        then continue for up to ``budget`` further full passes;
-        mirrors :meth:`_recirculate` statement for statement.  Returns
+        onward (its ingress already ran), then continue for up to
+        ``budget`` further full passes through the bound controls;
+        mirrors the loop of :meth:`process`.  Returns
         ``(extra_full_passes, result)``."""
-        executor = self.executor
+        ingress = self._ingress
+        egress = self._egress
         fields = packet.fields
         extra = 0
         while True:
             self._traffic_manager_at(packet, now, ts)
-            executor.run_control("egress", packet)
+            if egress is not None:
+                egress(packet)
             if (
                 fields["standard_metadata.drop_flag"]
                 or not fields["standard_metadata.recirculate_flag"]
@@ -1107,7 +854,8 @@ class SwitchAsic:
             budget -= 1
             extra += 1
             fields["standard_metadata.ingress_global_timestamp"] = ts
-            executor.run_control("ingress", packet)
+            if ingress is not None:
+                ingress(packet)
             if fields["standard_metadata.drop_flag"]:
                 break
         if fields["standard_metadata.drop_flag"]:
@@ -1126,14 +874,12 @@ class SwitchAsic:
         stamps,
         shared_ts: int,
         clock_now: float,
-        sweeps,
-        egress_sweeps,
         parent_state,
     ):
         """Columnar recirculation: compact the recirculate-flagged
         lanes into a sub-batch (sharing the parent's packet objects)
         and re-run the vectorized sweeps pass by pass instead of
-        draining each lane through the fused scalar steps.
+        draining each lane through the bound controls.
 
         Only reachable for programs whose admitted footprint is
         recirc-alone -- no registers, counters, or RNG anywhere -- so
@@ -1146,6 +892,8 @@ class SwitchAsic:
         ``lane_ports[k] == -1`` marks a dropped lane."""
         np = columnar_engine.np
         executor = self.executor
+        sweeps = self._ingress_sweeps
+        egress_sweeps = self._egress_sweeps
         ports = self.ports
         num_ports = self.num_ports
         packets = parent.packets

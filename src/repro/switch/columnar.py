@@ -30,23 +30,26 @@ every lane before table k+1 sees any:
   (:class:`_CondSweep`);
 - every program splits into a pure *prepare* phase (gathers, range
   validation -- may raise :class:`_Unvectorizable`) and a *commit*
-  phase, so a lowering that proves unsound at run time downgrades to
-  the scalar op-major sweep with no partial effects.
+  phase, so a lowering that proves unsound at run time downgrades the
+  whole table to the generated per-table apply, lane by lane, with no
+  partial effects.
 
 Lanes or whole tables that hit non-vectorizable features (RNG,
-non-exact matches, nested conditionals, cross-register affine flows)
-drain through the existing scalar fused path, so the engine is always
-semantically total; the fallback counters in
+cross-register affine flows, int64 headroom) run through the compiled
+engine's generated code one lane at a time, in lane order, so the
+engine is always semantically total; the fallback counters in
 :attr:`ColumnarPipeline.fallback_counts` say how often and why.
 
-Admission mirrors :meth:`CompiledPipeline.batch_major_ops`: columnar
-execution is op-major execution, so it is sound exactly when the
-op-major reordering is (exact-only ingress with pairwise-disjoint
-cross-packet footprints).  Straight-line bodies reuse the op-major
-analysis verbatim; bodies with a single level of control-flow ``if``
-re-run the same footprint analysis over every reachable arm, which is
-sound because each lane executes exactly one arm and the condition is
-a pure function of that lane's fields.
+Admission (:meth:`ColumnarPipeline._plan`) is the data plane's one
+footprint rule.  Sweeping table k over every lane before table k+1
+sees any is sound exactly when every reachable table is exact-match
+and no two of them share cross-packet state (registers, counters, the
+RNG), with egress folded in as one combined footprint and
+recirculation only ever alone.  Bodies with a single level of
+control-flow ``if`` pass the same rule over every reachable arm, which
+is sound because each lane executes exactly one arm and the condition
+is a pure function of that lane's fields.  A program the rule rejects
+runs its bursts through the generated controls lane by lane.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ class _Unvectorizable(Exception):
     """A lowering that looked sound at compile time failed a run-time
     check (index range, int64 headroom).  Raised only from *prepare*
     phases, before any state mutation, so the caller can rerun the
-    whole table through the scalar sweep."""
+    whole table lane by lane through the generated apply."""
 
 
 class _GiveUp(Exception):
@@ -1151,15 +1154,15 @@ class _TableSweep:
 
     Resolves match groups vectorially, runs a vectorized program per
     group when the lowering is sound, drains non-vectorizable lanes
-    through the scalar fused steps in lane order, and downgrades the
-    whole table to the scalar op-major sweep when per-lane order could
-    become observable (more than one group touching cross-packet
-    state) or a run-time check fails."""
+    through the fused runners in lane order, and downgrades the whole
+    table to the generated per-table apply, lane by lane, when per-lane
+    order could become observable (more than one group touching
+    cross-packet state), the key does not pack, or a run-time check
+    fails."""
 
     def __init__(self, pipeline: "ColumnarPipeline", runtime):
         self.pipeline = pipeline
         self.runtime = runtime
-        self.scalar_major = pipeline._compile_major_apply(runtime)
         self.name = runtime.decl.name
         reads = runtime.decl.reads
         self.keyless = not reads
@@ -1383,16 +1386,16 @@ class _TableSweep:
 
     def _run_scalar(self, st: "_SweepState", idx, count,
                     reason: str) -> None:
-        """Whole-table fallback: flush columns, run the op-major scalar
-        sweep (its own hit/miss accounting) over the selected lanes,
-        re-materialize."""
+        """Whole-table fallback: flush columns, apply the generated
+        per-table function (its own hit/miss accounting) to each live
+        lane in lane order, re-materialize."""
         st.mark_fallback(idx, count, f"table:{self.name}:{reason}")
         batch = st.batch
         batch.flush()
         packets = batch.ensure_packets()
-        if idx is not None and count != batch.n:
-            packets = [packets[int(lane)] for lane in idx]
-        self.scalar_major(packets)
+        apply = self.pipeline._apply_fn(self.name)
+        for lane in range(batch.n) if idx is None else idx.tolist():
+            apply(packets[lane])
         batch.resync()
 
     def _drain(self, st: "_SweepState", drains, hits: int,
@@ -1433,8 +1436,8 @@ class _CondSweep:
     the live lanes once (it is a pure function of per-lane fields, so
     evaluation order relative to the arms is unobservable) and run
     each arm's sweeps restricted to its lane subset.  Running every
-    then-lane before any else-lane is sound for the same reason the
-    op-major reordering is: all reachable tables have pairwise
+    then-lane before any else-lane is sound for the same reason
+    table-major sweeps are: all reachable tables have pairwise
     disjoint cross-packet footprints."""
 
     def __init__(self, cond_fn, then_sweeps, else_sweeps):
@@ -1504,11 +1507,12 @@ class _SweepState:
 
 
 class ColumnarPipeline(CompiledPipeline):
-    """Compiled engine plus columnar batch plans.
+    """Compiled engine plus columnar burst plans.
 
-    Inherits every scalar path (generated controls, fused batch
-    plans, op-major sweeps) so any burst the vectorizer cannot take
-    still executes with compiled-engine semantics."""
+    Inherits every scalar path (generated controls, per-table applies,
+    fused runners), so a burst the admission rejects runs the generated
+    controls lane by lane, and a table or lane the vectorizer cannot
+    take mid-burst still executes with compiled-engine semantics."""
 
     def __init__(self, asic, rng=None, profile=None):
         require_numpy()
@@ -1517,68 +1521,95 @@ class ColumnarPipeline(CompiledPipeline):
         self.fallback_counts: Dict[str, int] = {}
         self._columnar_plans: Dict[str, Optional[List[_TableSweep]]] = {}
         if profile is None:
-            self._columnar_plans["ingress"] = self._build_columnar(
-                asic.program.controls.get("ingress")
-            )
-            self._columnar_plans["egress"] = self._build_columnar_egress(
-                asic.program.controls.get("egress")
-            )
-
-    def _build_columnar(self, decl) -> Optional[List[object]]:
-        # Columnar execution is op-major execution: straight-line
-        # bodies admit exactly what the op-major analysis proved safe.
-        if self._batch_major_plans.get("ingress") is not None:
-            body = decl.body if decl is not None else []
-            return [
-                _TableSweep(self, self.asic.tables[stmt.table])
-                for stmt in body
+            controls = asic.program.controls
+            egress = controls.get("egress")
+            egress_tables = [] if egress is None else [
+                asic.tables[name] for name in _tables_in(egress.body)
             ]
-        return self._build_columnar_conditional(decl)
+            ingress = self._plan(controls.get("ingress"), egress_tables)
+            self._columnar_plans["ingress"] = ingress
+            # Egress tables were only proved disjoint from ingress as
+            # one combined footprint; sweeping them table-major needs
+            # them disjoint from each other as well.
+            self._columnar_plans["egress"] = (
+                None if ingress is None else self._plan(egress)
+            )
 
-    def _build_columnar_conditional(self, decl) -> Optional[List[object]]:
-        """Columnar-only admission for ingress bodies with a single
-        level of control-flow ``if``/``else`` (which the op-major
-        analysis rejects outright).  Masked-select execution is sound
-        under the same footprint argument: each lane executes exactly
-        one arm, the condition is a pure function of that lane's
-        fields, and every *reachable* table -- arms included -- must
-        have a cross-packet footprint disjoint from every other's
-        (egress folded in as one combined footprint, recirculation
-        only ever alone)."""
-        if decl is None or not any(
-            isinstance(stmt, ast.IfBlock) for stmt in decl.body
-        ):
-            return None
+    # ---- admission: the footprint rule ---------------------------------
+
+    def _plan(self, decl, downstream=None) -> Optional[List[object]]:
+        """Sweeps for one control block, or ``None`` when its bursts
+        must run lane by lane.
+
+        Sweeping table k over every lane before table k+1 sees any (and
+        every then-lane before any else-lane) is observably identical
+        to per-packet execution iff each table footprint is disjoint
+        from every other.  ``downstream`` is the list of tables that
+        run per packet *after* this control's sweeps (ingress passes
+        every egress table), folded in as one combined footprint.  An
+        absent control is an empty plan."""
         try:
-            sweeps, runtimes = self._lower_control(decl.body)
+            sweeps, runtimes = self._lower_control(
+                [] if decl is None else decl.body
+            )
         except _GiveUp:
             return None
-        footprints = []
-        for runtime in runtimes:
-            resources = self._table_resources(runtime)
-            if resources is None:
-                return None
-            footprints.append(resources)
-        egress_decl = self.asic.program.controls.get("egress")
-        egress_resources: set = set()
-        if egress_decl is not None:
-            for table_name in _tables_in(egress_decl.body):
-                runtime = self.asic.tables.get(table_name)
-                if runtime is None:
-                    return None
+        groups = [[runtime] for runtime in runtimes]
+        if downstream is not None:
+            groups.append(downstream)
+        shared: set = set()
+        for group in groups:
+            footprint: set = set()
+            for runtime in group:
                 resources = self._table_resources(runtime)
                 if resources is None:
                     return None
-                egress_resources |= resources
-        footprints.append(egress_resources)
-        shared: set = set()
-        for resources in footprints:
-            if resources & shared:
+                footprint |= resources
+            if footprint & shared:
                 return None
-            shared |= resources
+            shared |= footprint
+        # Recirculation replays ingress out of sweep order, so it is
+        # sound only when nothing else is stateful.
         if "recirc" in shared and shared != {"recirc"}:
             return None
         return sweeps
+
+    def _action_resources(self, action_name: str) -> Optional[set]:
+        """Cross-packet state an action touches.  ``None`` for unknown
+        actions (unanalyzable)."""
+        decl = self.asic.program.actions.get(action_name)
+        if decl is None:
+            return None
+        resources = set()
+        for call in decl.body:
+            name = call.name
+            if name == "register_write":
+                resources.add(f"reg:{call.args[0]}")
+            elif name == "register_read":
+                resources.add(f"reg:{call.args[1]}")
+            elif name == "count":
+                resources.add(f"ctr:{call.args[0]}")
+            elif name == "modify_field_rng_uniform":
+                resources.add("rng")
+            elif name == "recirculate":
+                resources.add("recirc")
+        return resources
+
+    def _table_resources(self, runtime) -> Optional[set]:
+        """Cross-packet state reachable from any action this table can
+        invoke (entries and the rebindable default are both validated
+        against ``decl.action_names``, so this union is sound)."""
+        names = set(runtime.decl.action_names)
+        default = runtime.decl.default_action
+        if default:
+            names.add(default[0])
+        resources = set()
+        for name in names:
+            action_resources = self._action_resources(name)
+            if action_resources is None:
+                return None
+            resources |= action_resources
+        return resources
 
     def _lower_control(self, body, nested=False):
         """Lower a statement list to sweeps, collecting every
@@ -1716,33 +1747,12 @@ class ColumnarPipeline(CompiledPipeline):
 
         return fn, bits
 
-    def _build_columnar_egress(self, decl) -> Optional[List[object]]:
-        """Egress sweeps, or ``None`` when egress must stay
-        packet-major (nested branches, non-exact tables, or egress
-        tables sharing cross-packet state *with each other* -- the
-        ingress admission only proved them disjoint from ingress)."""
-        if self._columnar_plans.get("ingress") is None:
-            return None
-        if decl is None or not decl.body:
-            return []
-        try:
-            sweeps, runtimes = self._lower_control(decl.body)
-        except _GiveUp:
-            return None
-        seen: set = set()
-        for runtime in runtimes:
-            resources = self._table_resources(runtime)
-            if resources is None or resources & seen:
-                return None
-            seen |= resources
-        return sweeps
-
     def columnar_ops(
         self, control_name: str
     ) -> Optional[List[_TableSweep]]:
         """The columnar plan for one control block, or ``None`` when
-        the burst must take a scalar path (profiling, or op-major
-        inadmissible)."""
+        its bursts run lane by lane (profiling, or the footprint rule
+        rejected the program)."""
         if self.profile is not None:
             return None
         return self._columnar_plans.get(control_name)

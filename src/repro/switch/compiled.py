@@ -26,24 +26,27 @@ recompilation or invalidation protocol.
 One emitter serves every flavour: the per-packet controls, their
 profiled (counter-incrementing) and stepped (generator) variants,
 per-table applies, and the constant-folded ``(action, args)`` runners
-of the batch tiers.  The emitter is total over the interpreter's
-primitive set; what it cannot render (a non-field destination, an
-unbound parameter, an unknown primitive) becomes a ``raise`` at the
-point the interpreter would raise, never a load-time failure or a
-whole-program veto.  Compiled code objects are cached by source text,
-so a fleet of identical switches compiles each function once.
+the columnar engine drains single lanes through.  The emitter is total
+over the interpreter's primitive set; what it cannot render (a
+non-field destination, an unbound parameter, an unknown primitive)
+becomes a ``raise`` at the point the interpreter would raise, never a
+load-time failure or a whole-program veto.  Compiled code objects are
+cached by source text, so a fleet of identical switches compiles each
+function once.
+
+A burst on this engine is no special case: ``SwitchAsic.process_batch``
+runs the bound control functions lane by lane.  Only
+:class:`~repro.switch.columnar.ColumnarPipeline` has a burst shape of
+its own (numpy struct-of-arrays sweeps); it builds on this engine for
+its scalar fallbacks -- the per-table applies for whole-table
+fallbacks, the fused runners for per-lane drains, and the controls for
+everything its admission rejects.
 
 The tree-walking :class:`~repro.switch.pipeline.PipelineExecutor`
 remains the reference semantics; :func:`run_differential` replays one
 workload through both engines and asserts identical packet and ASIC
 state, and the tests in ``tests/switch/test_compiled.py`` keep the two
 in lockstep.
-
-:class:`~repro.switch.columnar.ColumnarPipeline` builds on this
-engine: it reuses the op-major admission (:meth:`batch_major_ops`),
-the fused scalar sweeps as its fallback path, and the fused runners
-for per-lane drains, replacing only the batch inner loops with numpy
-struct-of-arrays sweeps.
 """
 
 from __future__ import annotations
@@ -64,10 +67,6 @@ _DROP = "standard_metadata.drop_flag"
 StepFn = Callable[[List[int], Packet], None]
 # A generated control block or table apply: (packet) -> None.
 OpFn = Callable[[Packet], None]
-
-# An op-major batch op: one table applied across a whole burst
-# (dropped packets skipped), amortizing the per-packet apply frame.
-BatchOpFn = Callable[[List[Packet]], None]
 
 # A rendered operand: a compile-time integer or a source expression.
 Operand = Union[int, str]
@@ -411,8 +410,8 @@ class _Emitter:
         self, decl: ast.ActionDecl, args: Optional[tuple] = None
     ) -> None:
         """One action body.  With ``args`` every parameter folds to a
-        constant (the batch tiers' resolved runners; the caller checked
-        the arity); without, parameters read the live list ``a``."""
+        constant (the fused runners; the caller checked the arity);
+        without, parameters read the live list ``a``."""
         if args is not None:
             self.params = dict(zip(decl.params, args))
         else:
@@ -653,8 +652,8 @@ class CompiledPipeline:
         # it binds a single name.
         self._run_action = self.run_action
         # Per-action and per-table functions are generated on first
-        # use: the controls inline what they need, so only the batch
-        # tiers, non-exact fallbacks and the public API ask for them.
+        # use: the controls inline what they need, so only the columnar
+        # fallbacks, non-exact lookups and the public API ask for them.
         self._actions: Dict[str, StepFn] = {}
         self._applies: Dict[str, OpFn] = {}
         self._stepped: Dict[str, Callable] = {}
@@ -662,30 +661,12 @@ class CompiledPipeline:
             name: self._build_control(name, decl.body)
             for name, decl in program.controls.items()
         }
-        # Batch execution plans: one op tuple per control, with fused
-        # memoizing applies for exact-match tables.  Not built under
-        # profiling -- the profiled run must route every packet through
-        # the counting controls, so batch_ops() reports no plan and the
-        # batch driver falls back to the instrumented scalar path.
-        self._batch_memos: List[Dict[object, tuple]] = []
-        self._batch_plans: Dict[str, Tuple[OpFn, ...]] = {}
-        self._batch_major_plans: Dict[str, Optional[Tuple[BatchOpFn, ...]]] = {}
         # Fused (action, args) specializations.  Keyed by resolved
         # action name + concrete argument tuple; safe to keep across
-        # batches because the generated code depends only on the action
+        # bursts because the generated code depends only on the action
         # declaration and stable asic containers (register/counter
         # value lists), never on table entries.
         self._fused_runners: Dict[Tuple[Optional[str], tuple], Callable] = {}
-        self._fused_sweeps: Dict[Tuple[Optional[str], tuple], Callable] = {}
-        if profile is None:
-            for name, decl in program.controls.items():
-                self._batch_plans[name] = tuple(
-                    self._compile_batch_ops(name, decl.body)
-                )
-            self._batch_major_plans["ingress"] = self._compile_batch_major(
-                program.controls.get("ingress"),
-                program.controls.get("egress"),
-            )
 
     # ---- control blocks ---------------------------------------------------
 
@@ -738,7 +719,8 @@ class CompiledPipeline:
 
     def _apply_fn(self, table_name: str) -> OpFn:
         """One table's apply as a standalone function (the controls
-        inline theirs; batch plans and ``apply_table`` call this)."""
+        inline theirs; ``apply_table`` and the columnar engine's
+        whole-table fallback call this)."""
         apply = self._applies.get(table_name)
         if apply is None:
             out = _Emitter(self, "def _fn(p):")
@@ -767,446 +749,34 @@ class CompiledPipeline:
             out.emit("yield")
         return out.function(f"<p4 control {name}>")
 
-    def _key_fn(self, reads: List[ast.TableRead]) -> Callable[[Packet], tuple]:
-        out = _Emitter(self, "def _fn(p):")
-        out.emit("f = p.fields")
-        out.emit(f"return {out.key(reads)}")
-        return out.function("<p4 key>")
-
-    # ---- batch execution --------------------------------------------------
-
-    def begin_batch(self) -> None:
-        """Reset the per-batch table-resolution memos.
-
-        Table entries and default actions are control-plane state, and
-        the control plane cannot run inside a batch, so for the life of
-        one batch each key resolves to a fixed (matched, runner) pair.
-        The memos must not outlive the batch -- the agent may rewrite
-        entries between bursts."""
-        for memo in self._batch_memos:
-            memo.clear()
-
-    def batch_ops(self, control_name: str) -> Optional[Tuple[OpFn, ...]]:
-        """The batch execution plan for one control block: one op per
-        statement, with exact-match applies replaced by fused,
-        batch-memoized versions.  Returns ``None`` when no plan exists
-        (profiling enabled); an undefined control is an empty plan."""
-        if self.profile is not None:
-            return None
-        return self._batch_plans.get(control_name, ())
-
-    def _compile_batch_ops(
-        self, control_name: str, statements: List[ast.Statement]
-    ) -> List[OpFn]:
-        ops: List[OpFn] = []
-        for stmt in statements:
-            if isinstance(stmt, ast.ApplyCall):
-                runtime = self.asic.tables.get(stmt.table)
-                if runtime is None:
-                    raise SwitchError(f"unknown table {stmt.table!r}")
-                ops.append(self._compile_batch_apply(runtime))
-            elif isinstance(stmt, ast.IfBlock):
-                # Branches are off the common forward path: the whole
-                # statement runs as one generated scalar function.
-                ops.append(self._build_control(control_name, [stmt]))
-            else:  # pragma: no cover - parser emits only the kinds above
-                raise SwitchError(f"unknown statement {stmt!r}")
-        return ops
-
-    def _make_resolver(self, runtime):
-        """A ``key_tuple -> (matched, run)`` resolver for one
-        exact-only table; memoized per batch by the callers.
-
-        ``run`` is the flat specialized runner for the resolved
-        (action, args) pair -- see :meth:`_fuse_runner` -- a no-op on a
-        miss without a default.  Unknown actions and arity mismatches
-        raise here, once per (table, key) per batch."""
-        fuse = self._fuse_runner
-        index = runtime._exact_index
-
-        def resolve(key_tuple, _runtime=runtime, _index=index):
-            entry = _index.get(key_tuple)
-            if entry is not None:
-                return True, fuse(entry.action_name, tuple(entry.action_args))
-            result = _runtime.default_action
-            if result is None:
-                return False, fuse(None, ())
-            name, args = result
-            return False, fuse(name, tuple(args))
-
-        return resolve
-
     # ---- action fusion ----------------------------------------------------
     #
-    # Once a batch resolver has pinned a (action, args) pair, every
-    # action parameter is a known integer, so the emitter renders the
-    # body with constants folded into the source.  This is the
-    # reproduction's version of the paper's precomputation argument
-    # (SS6): resolve once, then run straight-line code.
+    # Once a columnar sweep has resolved a lane group to one
+    # (action, args) pair, every action parameter is a known integer,
+    # so the emitter renders the body with constants folded into the
+    # source.  This is the reproduction's version of the paper's
+    # precomputation argument (SS6): resolve once, then run
+    # straight-line code.
 
     def _fuse_runner(self, action_name: Optional[str], args: tuple):
         """The per-packet runner ``fn(packet, fields)`` for one
-        resolved action (``None``: run nothing)."""
+        resolved action (``None``: run nothing).  Unknown actions and
+        arity mismatches raise here, before the runner exists."""
         key = (action_name, args)
         fn = self._fused_runners.get(key)
         if fn is None:
-            fn = self._fused_runners[key] = self._build_fused(
-                action_name, args, False
-            )
-        return fn
-
-    def _fuse_sweep(self, action_name: Optional[str], args: tuple):
-        """The whole-batch sweep ``fn(packets) -> live_count`` for one
-        resolved keyless action (``None`` action name means
-        miss-with-no-default: count live packets, run nothing)."""
-        key = (action_name, args)
-        fn = self._fused_sweeps.get(key)
-        if fn is None:
-            fn = self._fused_sweeps[key] = self._build_fused(
-                action_name, args, True
-            )
-        return fn
-
-    def _build_fused(self, action_name: Optional[str], args: tuple,
-                     sweep: bool):
-        decl = None
-        if action_name is not None:
-            decl = self.asic.program.actions.get(action_name)
-            if decl is None:
-                raise SwitchError(f"unknown action {action_name!r}")
-            if len(decl.params) != len(args):
-                raise _arity_error(action_name, len(decl.params), args)
-        if not sweep:
             out = _Emitter(self, "def _fn(p, f):")
-            if decl is not None:
+            if action_name is not None:
+                decl = self.asic.program.actions.get(action_name)
+                if decl is None:
+                    raise SwitchError(f"unknown action {action_name!r}")
+                if len(decl.params) != len(args):
+                    raise _arity_error(action_name, len(decl.params), args)
                 out.action(decl, args)
-        else:
-            out = _Emitter(self, "def _fn(packets):")
-            out.emit("live = 0")
-            with out.block("for p in packets:"):
-                out.emit("f = p.fields")
-                out.emit(f"if f[{_DROP!r}]: continue")
-                out.emit("live += 1")
-                if decl is not None:
-                    out.action(decl, args)
-            out.emit("return live")
-        return out.function(f"<p4 fused {action_name}>")
-
-    def _compile_batch_apply(self, runtime) -> OpFn:
-        """A batch-specialized table apply.
-
-        Exact-only tables get (key -> resolved action) memoization for
-        the life of one batch, and the dominant single-unmasked-field
-        shape additionally gets its key extraction inlined (no
-        extractor frames).  Other match kinds fall back to the scalar
-        apply -- ``lookup_key`` owns their matching semantics."""
-        if not runtime._exact_only:
-            return self._apply_fn(runtime.decl.name)
-        reads = runtime.decl.reads
-        memo: Dict[object, tuple] = {}
-        self._batch_memos.append(memo)
-        resolve = self._make_resolver(runtime)
-
-        if (
-            len(reads) == 1
-            and reads[0].match_type is not ast.MatchType.VALID
-            and reads[0].mask is None
-        ):
-            ref = reads[0].ref
-            field_key = f"{ref.header}.{ref.field}"
-
-            def apply_fused(
-                packet: Packet,
-                _fk=field_key,
-                _memo=memo,
-                _resolve=resolve,
-                _runtime=runtime,
-            ) -> None:
-                fields = packet.fields
-                key = fields.get(_fk, 0)
-                hit = _memo.get(key)
-                if hit is None:
-                    hit = _memo[key] = _resolve((key,))
-                matched, run = hit
-                if matched:
-                    _runtime.hits += 1
-                else:
-                    _runtime.misses += 1
-                run(packet, fields)
-
-            return apply_fused
-
-        build_key = self._key_fn(reads)
-
-        def apply_memoized(
-            packet: Packet,
-            _key=build_key,
-            _memo=memo,
-            _resolve=resolve,
-            _runtime=runtime,
-        ) -> None:
-            key = _key(packet)
-            hit = _memo.get(key)
-            if hit is None:
-                hit = _memo[key] = _resolve(key)
-            matched, run = hit
-            if matched:
-                _runtime.hits += 1
-            else:
-                _runtime.misses += 1
-            run(packet, packet.fields)
-
-        return apply_memoized
-
-    # ---- op-major batch execution -----------------------------------------
-
-    def batch_major_ops(
-        self, control_name: str
-    ) -> Optional[Tuple[BatchOpFn, ...]]:
-        """The op-major plan for a control block: each op sweeps the
-        whole batch, so the per-packet apply frame is paid once per
-        table per *batch*.  ``None`` when unavailable -- profiling, a
-        non-straight-line control, non-exact tables, or tables whose
-        cross-packet state (registers, counters, the RNG) overlaps, in
-        which case op-major would reorder observable effects."""
-        if self.profile is not None:
-            return None
-        return self._batch_major_plans.get(control_name)
-
-    def _action_resources(self, action_name: str) -> Optional[set]:
-        """Cross-packet state an action touches.  ``None`` for unknown
-        actions (unanalyzable)."""
-        decl = self.asic.program.actions.get(action_name)
-        if decl is None:
-            return None
-        resources = set()
-        for call in decl.body:
-            name = call.name
-            if name == "register_write":
-                resources.add(f"reg:{call.args[0]}")
-            elif name == "register_read":
-                resources.add(f"reg:{call.args[1]}")
-            elif name == "count":
-                resources.add(f"ctr:{call.args[0]}")
-            elif name == "modify_field_rng_uniform":
-                resources.add("rng")
-            elif name == "recirculate":
-                resources.add("recirc")
-        return resources
-
-    def _table_resources(self, runtime) -> Optional[set]:
-        """Cross-packet state reachable from any action this table can
-        invoke (entries and the rebindable default are both validated
-        against ``decl.action_names``, so this union is sound)."""
-        names = set(runtime.decl.action_names)
-        default = runtime.decl.default_action
-        if default:
-            names.add(default[0])
-        resources = set()
-        for name in names:
-            action_resources = self._action_resources(name)
-            if action_resources is None:
-                return None
-            resources |= action_resources
-        return resources
-
-    def _compile_batch_major(
-        self, ingress_decl, egress_decl
-    ) -> Optional[Tuple[BatchOpFn, ...]]:
-        """Build the op-major ingress plan, or ``None`` if per-packet
-        order must be preserved.
-
-        Op-major execution runs table k over every packet before table
-        k+1 sees any.  That is observably identical to packet-major
-        execution iff no cross-packet state (register, counter, RNG) is
-        shared between two ops -- including every table the egress
-        control might apply, since egress runs per packet *after* the
-        op-major ingress sweep.  Recirculation replays ingress out of
-        sweep order, so it too forces the fallback unless the pipeline
-        is entirely stateless."""
-        body = ingress_decl.body if ingress_decl is not None else []
-        runtimes = []
-        for stmt in body:
-            if not isinstance(stmt, ast.ApplyCall):
-                return None
-            runtime = self.asic.tables.get(stmt.table)
-            if runtime is None or not runtime._exact_only:
-                return None
-            runtimes.append(runtime)
-        footprints = []
-        for runtime in runtimes:
-            resources = self._table_resources(runtime)
-            if resources is None:
-                return None
-            footprints.append(resources)
-        egress_resources = set()
-        if egress_decl is not None:
-            for table_name in _tables_in(egress_decl.body):
-                runtime = self.asic.tables.get(table_name)
-                if runtime is None:
-                    return None
-                resources = self._table_resources(runtime)
-                if resources is None:
-                    return None
-                egress_resources |= resources
-        footprints.append(egress_resources)
-        shared = set()
-        for resources in footprints:
-            if resources & shared:
-                return None
-            shared |= resources
-        if "recirc" in shared and shared != {"recirc"}:
-            return None
-        return tuple(self._compile_major_apply(rt) for rt in runtimes)
-
-    def _compile_major_apply(self, runtime) -> BatchOpFn:
-        """One table's op-major sweep: apply it to every live packet in
-        the batch, with hit/miss accounting accumulated locally and
-        flushed once."""
-        reads = runtime.decl.reads
-        resolve = self._make_resolver(runtime)
-
-        if not reads:
-            # Keyless (Mantis init/collect tables, RMW accounting): one
-            # resolution covers the whole sweep, and the fused variant
-            # runs the entire action body inline inside one batch loop.
-            fuse_sweep = self._fuse_sweep
-            memo: Dict[object, tuple] = {}
-            self._batch_memos.append(memo)
-            index = runtime._exact_index
-
-            def major_keyless(
-                packets: List[Packet],
-                _memo=memo,
-                _index=index,
-                _runtime=runtime,
-            ) -> None:
-                hit = _memo.get(())
-                if hit is None:
-                    entry = _index.get(())
-                    if entry is not None:
-                        matched = True
-                        name = entry.action_name
-                        args = entry.action_args
-                    else:
-                        matched = False
-                        default = _runtime.default_action
-                        name, args = default if default else (None, ())
-                    hit = _memo[()] = (
-                        matched, fuse_sweep(name, tuple(args))
-                    )
-                matched, sweep = hit
-                live = sweep(packets)
-                if matched:
-                    _runtime.hits += live
-                else:
-                    _runtime.misses += live
-
-            return major_keyless
-
-        memo: Dict[object, tuple] = {}
-        self._batch_memos.append(memo)
-        simple = all(
-            read.match_type is not ast.MatchType.VALID and read.mask is None
-            for read in reads
-        )
-
-        if simple and len(reads) == 1:
-            ref = reads[0].ref
-            field_key = f"{ref.header}.{ref.field}"
-
-            def major_single(
-                packets: List[Packet],
-                _fk=field_key,
-                _memo=memo,
-                _resolve=resolve,
-                _runtime=runtime,
-            ) -> None:
-                hits = 0
-                misses = 0
-                get = _memo.get
-                for packet in packets:
-                    fields = packet.fields
-                    if fields[_DROP]:
-                        continue
-                    key = fields.get(_fk, 0)
-                    hit = get(key)
-                    if hit is None:
-                        hit = _memo[key] = _resolve((key,))
-                    matched, run = hit
-                    if matched:
-                        hits += 1
-                    else:
-                        misses += 1
-                    run(packet, fields)
-                _runtime.hits += hits
-                _runtime.misses += misses
-
-            return major_single
-
-        if simple and len(reads) == 2:
-            first = reads[0].ref
-            second = reads[1].ref
-
-            def major_pair(
-                packets: List[Packet],
-                _fa=f"{first.header}.{first.field}",
-                _fb=f"{second.header}.{second.field}",
-                _memo=memo,
-                _resolve=resolve,
-                _runtime=runtime,
-            ) -> None:
-                hits = 0
-                misses = 0
-                get = _memo.get
-                for packet in packets:
-                    fields = packet.fields
-                    if fields[_DROP]:
-                        continue
-                    key = (fields.get(_fa, 0), fields.get(_fb, 0))
-                    hit = get(key)
-                    if hit is None:
-                        hit = _memo[key] = _resolve(key)
-                    matched, run = hit
-                    if matched:
-                        hits += 1
-                    else:
-                        misses += 1
-                    run(packet, fields)
-                _runtime.hits += hits
-                _runtime.misses += misses
-
-            return major_pair
-
-        build_key = self._key_fn(reads)
-
-        def major_generic(
-            packets: List[Packet],
-            _key=build_key,
-            _memo=memo,
-            _resolve=resolve,
-            _runtime=runtime,
-        ) -> None:
-            hits = 0
-            misses = 0
-            get = _memo.get
-            for packet in packets:
-                if packet.fields[_DROP]:
-                    continue
-                key = _key(packet)
-                hit = get(key)
-                if hit is None:
-                    hit = _memo[key] = _resolve(key)
-                matched, run = hit
-                if matched:
-                    hits += 1
-                else:
-                    misses += 1
-                run(packet, packet.fields)
-            _runtime.hits += hits
-            _runtime.misses += misses
-
-        return major_generic
+            fn = self._fused_runners[key] = out.function(
+                f"<p4 fused {action_name}>"
+            )
+        return fn
 
 
 # ---- differential testing hook --------------------------------------------

@@ -1,12 +1,12 @@
 """Burst-mode data plane: batch execution must be invisible.
 
-``SwitchAsic.process_batch`` layers three optimizations over the
-compiled per-packet engine -- per-batch key->action memoization,
-op-major table sweeps, and exec-fused action runners -- all of which
-must be behaviourally transparent.  These tests drive every use-case
-program (DoS, ECMP, failover, sketch, RL) plus a recirculating
-program through scalar and batch execution and require bit-identical
-egress sequences, register/counter state, and table statistics.
+``SwitchAsic.process_batch`` has two shapes -- the columnar engine's
+vectorized sweeps when its admission accepts the program, otherwise
+the bound generated controls lane by lane -- and both must be
+behaviourally transparent.  These tests drive every use-case program
+(DoS, ECMP, failover, sketch, RL) plus a recirculating program through
+scalar and batch execution and require bit-identical egress
+sequences, register/counter state, and table statistics.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ class TestBatchEquivalence:
 
     @pytest.mark.parametrize("name", ["dos", "recirc"])
     def test_interpreter_batch_fallback_matches(self, name: str):
-        """The interpreter engine has no fused plans; process_batch
-        must still work (scalar fallback) and agree with the compiled
-        batch path."""
+        """The interpreter runs a burst through its bound controls
+        lane by lane, like the compiled engine, and must agree with
+        it."""
         workload = APPS[name][2](40)
         interp = _build(name, execution_mode="interpreter")
         interp_obs = _run_batch(interp, workload, batch_size=16)
@@ -236,8 +236,8 @@ class TestBatchEquivalence:
             assert packet.fields[key] == int(t)
 
     def test_entries_added_between_batches_take_effect(self):
-        """Key->action memoization is scoped to one batch: a table
-        entry installed after a batch must apply to the next one."""
+        """Nothing a burst resolves outlives it: a table entry
+        installed after a batch must apply to the next one."""
         system = _build("dos")
         fields = {"ipv4.srcAddr": 0x0AFF0001, "ipv4.dstAddr": DST}
         first = system.asic.process_batch([Packet(fields)])
@@ -269,24 +269,25 @@ control ingress { apply(t1); apply(t2); }
 """
 
 
-class TestOpMajorSoundness:
-    """Op-major sweeps are only legal when tables share no state."""
+class TestColumnarAdmission:
+    """Table-major columnar sweeps are only legal when tables share no
+    state; everything else runs lane by lane through the controls."""
 
-    def test_disjoint_program_gets_major_plan(self):
-        system = _build("dos")
-        assert system.asic.executor.batch_major_ops("ingress") is not None
+    def test_disjoint_program_gets_columnar_plan(self):
+        system = _build("dos", "columnar")
+        assert system.asic.executor.columnar_ops("ingress") is not None
 
-    def test_shared_register_disables_op_major(self):
+    def test_shared_register_disables_columnar(self):
         """Two ingress tables touching the same register array cannot
         be reordered table-major: packet k's t2 must see the register
         as left by packet k's t1, not by the whole batch's t1 sweep."""
         system = MantisSystem.from_source(
-            SHARED_REG_P4R, num_ports=4, execution_mode="compiled"
+            SHARED_REG_P4R, num_ports=4, execution_mode="columnar"
         )
         system.agent.prologue()
-        assert system.asic.executor.batch_major_ops("ingress") is None
-        # And the batch path (which falls back to packet-major fused
-        # execution) still matches scalar execution exactly.
+        assert system.asic.executor.columnar_ops("ingress") is None
+        # And the batch path (the bound controls, lane by lane) still
+        # matches scalar execution exactly.
         workload = [{"hdr.f": 0} for _ in range(20)]
         scalar = MantisSystem.from_source(
             SHARED_REG_P4R, num_ports=4, execution_mode="compiled"
@@ -299,15 +300,18 @@ class TestOpMajorSoundness:
             system.asic.get_register("shared").values
             == scalar.asic.get_register("shared").values
         )
+        assert system.asic.batch_stats.columnar == 0
 
-    def test_recirculating_program_has_no_major_plan(self):
-        system = _build("recirc")
-        assert system.asic.executor.batch_major_ops("ingress") is None
+    def test_recirculating_program_has_no_columnar_plan(self):
+        """Stateful recirculation replays ingress out of sweep order."""
+        system = _build("recirc", "columnar")
+        assert system.asic.executor.columnar_ops("ingress") is None
 
 
 class TestBatchProfiling:
-    """--profile counters: the instrumented engine counts hot loops
-    and the batch driver falls back to the scalar closures."""
+    """--profile counters: the instrumented engine counts hot loops,
+    so a profiled burst has no columnar plan and runs the counting
+    controls lane by lane."""
 
     def test_counters_cover_controls_tables_actions(self):
         system = _build("dos")
@@ -325,10 +329,10 @@ class TestBatchProfiling:
         workload = _dos_workload(36)
         plain = _build("dos")
         plain_obs = _run_batch(plain, workload, batch_size=12)
-        profiled = _build("dos")
+        profiled = _build("dos", "columnar")
+        assert profiled.asic.executor.columnar_ops("ingress") is not None
         profiled.asic.enable_profiling()
-        assert profiled.asic.executor.batch_ops("ingress") is None
-        assert profiled.asic.executor.batch_major_ops("ingress") is None
+        assert profiled.asic.executor.columnar_ops("ingress") is None
         profiled_obs = _run_batch(profiled, workload, batch_size=12)
         assert profiled_obs == plain_obs
         state_plain = asic_state_snapshot(plain.asic)

@@ -201,8 +201,9 @@ class TestForcedFallbacks:
         assert stats.packets == stats.fused + stats.slow_path
 
     def test_overlapping_footprints_disable_columnar(self):
-        """Two tables RMW-ing one register: op-major inadmissible, so
-        no columnar plans; the generic batch path takes over."""
+        """Two tables RMW-ing one register: the footprint rule rejects
+        the program, so no columnar plans; the bound controls run the
+        burst lane by lane."""
         workload = [{"hdr.f": 0} for _ in range(24)]
         col = self._diff(SHARED_REG_P4R, workload)
         assert col.asic.executor.columnar_ops("ingress") is None
@@ -603,32 +604,175 @@ control ingress { apply(blast); }
 """
 
 
-class TestBatchStatsErrorAccounting:
-    """Satellite 6: a SwitchError mid-batch must leave
-    ``packets == fused + slow_path`` (every packet bucketed once)."""
+ERROR_CONFIGS = [
+    pytest.param("compiled", False, id="compiled"),
+    pytest.param("columnar", False, id="columnar"),
+    pytest.param("interpreter", False, id="interpreter"),
+    pytest.param("compiled", True, id="profiled-compiled"),
+    pytest.param("columnar", True, id="profiled-columnar"),
+]
 
-    @pytest.mark.parametrize("mode", ["compiled", "columnar"])
-    def test_oor_egress_spec_keeps_invariant(self, mode: str):
+
+class TestBatchStatsErrorAccounting:
+    """A SwitchError mid-batch counts the whole burst the same way on
+    every engine: ``packets`` and ``packets_processed`` both grow by
+    the burst length, and ``packets == fused + slow_path`` (every
+    packet bucketed once, unreached lanes as slow path)."""
+
+    @staticmethod
+    def _system(mode: str, profiled: bool):
         system = MantisSystem.from_source(
             OOR_SPEC_P4R, num_ports=8, execution_mode=mode
         )
         system.agent.prologue()
+        if profiled:
+            system.asic.enable_profiling()
+        return system
+
+    @pytest.mark.parametrize("mode, profiled", ERROR_CONFIGS)
+    def test_oor_egress_spec_keeps_invariant(self, mode: str, profiled):
+        system = self._system(mode, profiled)
         packets = [Packet({"hdr.f": i}) for i in range(10)]
         with pytest.raises(SwitchError, match="egress_spec"):
             system.asic.process_batch(packets)
         stats = system.asic.batch_stats
         assert stats.packets == 10
+        assert system.asic.packets_processed == stats.packets
         assert stats.packets == stats.fused + stats.slow_path
 
-    @pytest.mark.parametrize("mode", ["compiled", "columnar"])
-    def test_oor_egress_spec_with_sink_keeps_invariant(self, mode: str):
-        system = MantisSystem.from_source(
-            OOR_SPEC_P4R, num_ports=8, execution_mode=mode
-        )
-        system.agent.prologue()
+    @pytest.mark.parametrize("mode, profiled", ERROR_CONFIGS)
+    def test_oor_egress_spec_with_sink_keeps_invariant(
+        self, mode: str, profiled
+    ):
+        system = self._system(mode, profiled)
         packets = [Packet({"hdr.f": i}) for i in range(6)]
         with pytest.raises(SwitchError, match="egress_spec"):
             system.asic.process_batch(packets, sink=lambda i, r: None)
         stats = system.asic.batch_stats
         assert stats.packets == 6
+        assert system.asic.packets_processed == stats.packets
+        assert stats.packets == stats.fused + stats.slow_path
+
+
+# Whole-table fallbacks: each program is admitted (columnar plans
+# exist) but one table cannot sweep at run time, so every live lane
+# runs the generated per-table apply in lane order.
+
+SHARED_GROUPS_P4R = STANDARD_METADATA_P4 + """
+header_type h_t { fields { k : 8; v : 32; } }
+header h_t hdr;
+register acc { width : 32; instance_count : 2; }
+action bump(step, port) {
+    register_read(hdr.v, acc, 0);
+    add_to_field(hdr.v, step);
+    register_write(acc, 0, hdr.v);
+    modify_field(standard_metadata.egress_spec, port);
+}
+table tally {
+    reads { hdr.k : exact; }
+    actions { bump; }
+    default_action : bump(100, 3);
+}
+control ingress { apply(tally); }
+"""
+
+WIDE_KEY_P4R = STANDARD_METADATA_P4 + """
+header_type h_t { fields { mac : 48; ip : 32; } }
+header h_t hdr;
+counter seen { type : packets; instance_count : 4; }
+action forward(port) {
+    count(seen, port);
+    modify_field(standard_metadata.egress_spec, port);
+}
+table l2l3 {
+    reads { hdr.mac : exact; hdr.ip : exact; }
+    actions { forward; }
+    default_action : forward(3);
+}
+control ingress { apply(l2l3); }
+"""
+
+HEADROOM_P4R = STANDARD_METADATA_P4 + """
+header_type h_t { fields { big : 56; v : 32; } }
+header h_t hdr;
+register total { width : 32; instance_count : 1; }
+action sum_big() {
+    register_read(hdr.v, total, 0);
+    add_to_field(hdr.v, hdr.big);
+    register_write(total, 0, hdr.v);
+    modify_field(standard_metadata.egress_spec, 1);
+}
+table summer { actions { sum_big; } default_action : sum_big(); }
+control ingress { apply(summer); }
+"""
+
+
+def _shared_groups_setup(system) -> None:
+    system.driver.add_entry("tally", [1], "bump", [1, 1])
+    system.driver.add_entry("tally", [2], "bump", [7, 2])
+
+
+def _wide_key_setup(system) -> None:
+    system.driver.add_entry("l2l3", [0x0000AABBCCDD01, 0x0A000001],
+                            "forward", [1])
+    system.driver.add_entry("l2l3", [0xFFFFFFFFFFFF, 0xFFFFFFFF],
+                            "forward", [2])
+
+
+WHOLE_TABLE_FALLBACKS = {
+    "shared-state-groups": (
+        SHARED_GROUPS_P4R, _shared_groups_setup, "tally",
+        # Both entries (and the default) RMW one register cell.
+        lambda i: {"hdr.k": (1, 2, 1, 9)[i % 4]},
+    ),
+    "unpackable": (
+        WIDE_KEY_P4R, _wide_key_setup, "l2l3",
+        # 48 + 32 key bits do not pack into one int64.
+        lambda i: (
+            {"hdr.mac": 0x0000AABBCCDD01, "hdr.ip": 0x0A000001},
+            {"hdr.mac": 0xFFFFFFFFFFFF, "hdr.ip": 0xFFFFFFFF},
+            {"hdr.mac": i, "hdr.ip": i},
+        )[i % 3],
+    ),
+    "runtime-check": (
+        HEADROOM_P4R, lambda system: None, "summer",
+        # A 56-bit delta prefix-summed over >= 16 lanes overflows the
+        # int64 headroom check in _VecProgram.prepare.
+        lambda i: {"hdr.big": (1 << 56) - 1 - i},
+    ),
+}
+
+
+class TestWholeTableFallback:
+    """``_TableSweep._run_scalar`` against the compiled engine: same
+    outputs and ASIC state, and the exact fallback reason."""
+
+    N_PACKETS = 64
+
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    @pytest.mark.parametrize("reason", sorted(WHOLE_TABLE_FALLBACKS))
+    def test_matches_compiled(self, reason: str, batch_size: int):
+        source, setup, table, make = WHOLE_TABLE_FALLBACKS[reason]
+        workload = [make(i) for i in range(self.N_PACKETS)]
+
+        def build(mode):
+            system = MantisSystem.from_source(
+                source, num_ports=8, execution_mode=mode
+            )
+            system.agent.prologue()
+            setup(system)
+            return system
+
+        compiled = build("compiled")
+        compiled_obs = _run_batch_nosink(compiled, workload, batch_size)
+        col = build("columnar")
+        assert col.asic.executor.columnar_ops("ingress") is not None
+        col_obs = _run_batch_nosink(col, workload, batch_size)
+        assert col_obs == compiled_obs
+        _assert_same_state(compiled, col)
+        assert col.asic.executor.fallback_counts == {
+            f"table:{table}:{reason}": self.N_PACKETS
+        }
+        stats = col.asic.batch_stats
+        assert stats.columnar_fallback == self.N_PACKETS
         assert stats.packets == stats.fused + stats.slow_path
