@@ -18,50 +18,6 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json",
-        default=None,
-        metavar="PATH",
-        help="also write machine-readable benchmark results (JSON) "
-        "to PATH; single-file path for one benchmark, or a directory "
-        "(trailing separator) for per-benchmark files",
-    )
-
-
-@pytest.fixture
-def bench_json_path(request):
-    """The ``--bench-json`` destination, or ``None`` when not given.
-
-    Benchmarks that produce a JSON payload call
-    :func:`report_json` with this path in addition to their default
-    artifact under ``benchmarks/results/``.
-    """
-    return request.config.getoption("--bench-json")
-
-
-def report_json(payload, path=None, name="benchmark"):
-    """Persist a machine-readable result under benchmarks/results/
-    and, if ``path`` is given (the --bench-json option), there too."""
-    import json
-
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    destinations = [os.path.join(RESULTS_DIR, f"{name}.json")]
-    if path:
-        if path.endswith(os.sep) or os.path.isdir(path):
-            os.makedirs(path, exist_ok=True)
-            destinations.append(os.path.join(path, f"{name}.json"))
-        else:
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
-            destinations.append(path)
-    for destination in destinations:
-        with open(destination, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return destinations
-
-
 def render_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render an aligned text table."""
     rows = [[str(cell) for cell in row] for row in rows]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import report, report_json
+from benchmarks.conftest import report
 from repro.apps.linkguard import run_linkguard_sweep
 
 LOSS_RATES = (1e-4, 1e-3, 1e-2, 1e-1)
@@ -37,7 +37,7 @@ def _fmt(value, pattern="{:.2f}"):
     return pattern.format(value) if value is not None else "-"
 
 
-def test_loss_sweep_curves(sweep, bench_json_path):
+def test_loss_sweep_curves(sweep):
     rows = []
     for loss in LOSS_RATES:
         point = sweep["points"][repr(loss)]
@@ -59,7 +59,6 @@ def test_loss_sweep_curves(sweep, bench_json_path):
          "base FCT us", "prot FCT us", "FCT x", "protect@us"],
         rows,
     )
-    report_json(sweep, bench_json_path, name="BENCH_linkguard")
 
     # Shape: protection monotonically matters more as loss grows.
     ratios = [sweep["points"][repr(l)]["throughput_ratio"]

@@ -18,8 +18,8 @@ evenly.  One :class:`~repro.runtime.Scheduler` drives all ~20 agents
 against the shared fabric timeline.
 
 ``run_fattree_rebalance`` compares ``max`` inter-switch link
-utilization with and without the reactive agents -- the headline
-number of ``BENCH_fabric.json``.
+utilization with and without the reactive agents (``mantis run-fattree
+--compare``).
 """
 
 from __future__ import annotations

@@ -517,7 +517,8 @@ def run_linkguard_sweep(
     **run_kwargs,
 ) -> Dict[str, object]:
     """The FCT/throughput-vs-loss-rate curves: no-protection baseline
-    vs Mantis protection at each loss rate (``BENCH_linkguard.json``).
+    vs Mantis protection at each loss rate
+    (``benchmarks/test_linkguard_protection.py`` renders them).
 
     The acceptance gate: at ``gate_loss`` the protected run must
     deliver >= 2x the baseline throughput or <= 0.5x its FCT.

@@ -14,24 +14,7 @@ Subcommands mirror the workflow of the paper's toolchain:
   JSON summary;
 - ``run-fattree`` -- run the FatTree(k) fleet rebalancing scenario:
   one scheduler driving a per-switch agent on every edge/agg/core
-  switch against an adversarially polarized traffic matrix;
-- ``bench-fabric`` -- fabric scaling benchmark: events/sec on a
-  2-switch pair vs the FatTree fleet plus the rebalance-vs-static
-  max-link-utilization headline (tier-2 perf gate);
-- ``bench-fastpath`` -- measure packets/sec of the interpreter vs the
-  compiled vs the columnar pipeline (with a batch-size sweep) on the
-  Figure 15 DoS workload plus the ECMP rotating-hash workload, with
-  per-workload columnar fallback counts (tier-2 perf gate);
-- ``bench-agent`` -- measure the control-plane fast path: compiled vs
-  interpreted reactions/sec, dirty-diff vs full commit op counts, and
-  the delta-polling skip rate (tier-2 perf gate);
-- ``bench-linkguard`` -- sweep lossy-link rates through the
-  LinkGuardian-style protection scenario and emit throughput/FCT
-  curves comparing no-protection vs Mantis protection;
-- ``bench-ctrl`` -- control-plane service sustained-throughput
-  benchmark: sync vs pipelined vs DMA-bulk table updates at 1M+
-  entries, contended multi-client latency percentiles, and the
-  FatTree(k=8) fleet route-install timing (tier-2 perf gate).
+  switch against an adversarially polarized traffic matrix.
 
 Usage:  python -m repro.cli compile prog.p4r -o build/
 """
@@ -315,236 +298,6 @@ def cmd_run_fattree(args) -> int:
     return 0
 
 
-def cmd_bench_fabric(args) -> int:
-    from repro.fastbench import run_fabric_benchmark
-
-    json_path = args.bench_json or args.json
-    result = run_fabric_benchmark(
-        duration_us=args.duration, k=args.k, json_path=json_path,
-    )
-    print(f"workload          : {result['workload']} (k={result['k']})")
-    for count, point in sorted(
-        result["scaling"].items(), key=lambda kv: int(kv[0])
-    ):
-        print(f"{count:>2s} switches       : "
-              f"{point['events_per_sec']:>12,.1f} events/s "
-              f"({point['events']} events, {point['wall_sec']:.3f} s wall, "
-              f"{point['actor_fires']} actor fires)")
-    print(f"scaling ratio     : {result['scaling_ratio']:.2f}x "
-          "(fleet vs pair events/s)")
-    print(f"static max util   : {result['static_max_utilization']:.4f}")
-    print(f"mantis max util   : {result['mantis_max_utilization']:.4f} "
-          f"({result['shifting_switches']} switches shifted "
-          f"{result['total_shifts']}x)")
-    print(f"improvement       : {result['improvement']:.1%}")
-    print(f"delivery (mantis) : {result['mantis_delivery_rate']:.1%}")
-    if json_path:
-        print(f"wrote {json_path}")
-    return 0
-
-
-def cmd_bench_fastpath(args) -> int:
-    from repro.fastbench import run_fastpath_benchmark
-
-    json_path = args.bench_json or args.json
-    result = run_fastpath_benchmark(
-        n_packets=args.packets,
-        json_path=json_path,
-        batch_size=args.batch_size,
-        profile=args.profile,
-        engine=args.engine,
-    )
-    print(f"workload          : {result['workload']}")
-    print(f"packets           : {result['packets']}")
-    if "interpreter_pps" in result:
-        print(f"interpreter       : "
-              f"{result['interpreter_pps']:>12,.1f} pkt/s")
-        print(f"compiled          : {result['compiled_pps']:>12,.1f} pkt/s")
-    batch_label = f"batch (x{result['batch_size']})"
-    print(f"{batch_label:<18s}: {result['batch_pps']:>12,.1f} pkt/s")
-    for size, pps in result["columnar_pps_by_batch"].items():
-        columnar_label = f"columnar (x{size})"
-        print(f"{columnar_label:<18s}: {pps:>12,.1f} pkt/s")
-    if "speedup" in result:
-        print(f"speedup           : {result['speedup']:.2f}x "
-              "(compiled vs interpreter)")
-        print(f"batch speedup     : "
-              f"{result['batch_speedup_vs_compiled']:.2f}x "
-              "(batch vs compiled per-packet)")
-    print(f"columnar speedup  : "
-          f"{result['columnar_speedup_vs_batch']:.2f}x "
-          "(columnar vs batch)")
-    print(f"ecmp batch        : {result['ecmp_batch_pps']:>12,.1f} pkt/s")
-    print(f"ecmp columnar     : {result['ecmp_columnar_pps']:>12,.1f} pkt/s")
-    print(f"ecmp speedup      : "
-          f"{result['ecmp_columnar_speedup_vs_batch']:.2f}x "
-          "(columnar vs batch)")
-    for workload, fallbacks in sorted(
-        result["fallbacks_by_workload"].items()
-    ):
-        rendered = ", ".join(
-            f"{reason}={count}" for reason, count in sorted(fallbacks.items())
-        ) or "none"
-        print(f"fallbacks [{workload}]: {rendered}")
-    if args.profile:
-        profile = result["profile"]
-        print("-- hot loops (data plane) --")
-        for section in ("control_runs", "table_applies", "action_runs"):
-            counts = profile["data_plane"][section]
-            ranked = sorted(counts.items(), key=lambda kv: -kv[1])
-            rendered = ", ".join(f"{name}={count}" for name, count in ranked)
-            print(f"  {section:13s}: {rendered}")
-        print("-- hot loops (agent, cumulative us) --")
-        for phase, total in profile["agent_phases_us"].items():
-            print(f"  {phase:13s}: {total}")
-    if json_path:
-        print(f"wrote {json_path}")
-    return 0
-
-
-def cmd_bench_agent(args) -> int:
-    from repro.fastbench import run_agent_benchmark
-
-    json_path = args.bench_json or args.json
-    result = run_agent_benchmark(
-        iterations=args.iterations,
-        json_path=json_path,
-    )
-    print(f"workload          : {result['workload']}")
-    print(f"iterations        : {result['iterations']}")
-    print(f"interpreted       : {result['interp_rps']:>12,.1f} reactions/s")
-    print(f"compiled          : {result['compiled_rps']:>12,.1f} reactions/s")
-    print(f"speedup           : {result['speedup']:.2f}x "
-          "(compiled vs interpreted)")
-    phases = result["compiled_phase_us"]
-    split = ", ".join(
-        f"{name.rsplit('_us', 1)[0]}={phases[name]:.1f}"
-        for name in ("mv_flip_us", "poll_us", "react_us", "commit_us")
-    )
-    print(f"phase split (us)  : {split}")
-    print(f"commit ops        : diff={result['diff_commit_ops']} "
-          f"vs full={result['full_commit_ops']}")
-    print(f"dirty-diff hits   : {result['dirty_diff_hit_rate']:.1%}")
-    print(f"delta-poll skips  : {result['delta_poll_skip_rate']:.1%} "
-          f"(ops {result['delta_poll_ops']} vs "
-          f"{result['diff_commit_ops']} without)")
-    if json_path:
-        print(f"wrote {json_path}")
-    return 0
-
-
-def cmd_bench_linkguard(args) -> int:
-    import json
-
-    from repro.apps.linkguard import run_linkguard_sweep
-
-    try:
-        loss_rates = tuple(
-            float(part) for part in args.loss.split(",") if part.strip()
-        )
-    except ValueError:
-        print(f"error: --loss expects comma-separated rates, "
-              f"got {args.loss!r}", file=sys.stderr)
-        return 1
-    if not loss_rates:
-        print("error: --loss expects at least one rate", file=sys.stderr)
-        return 1
-    result = run_linkguard_sweep(
-        loss_rates=loss_rates,
-        duration_us=args.duration,
-        probe_period_us=args.probe_period,
-        transfer_packets=args.transfer,
-    )
-    print(f"scenario          : linkguard loss sweep "
-          f"({args.duration:.0f} us per run, tcp transport)")
-    print(f"{'loss':>8s} {'base Gbps':>10s} {'prot Gbps':>10s} "
-          f"{'tput x':>7s} {'base FCT':>9s} {'prot FCT':>9s} "
-          f"{'FCT x':>6s} {'protect@us':>10s}")
-    for loss in loss_rates:
-        point = result["points"][repr(loss)]
-        base = point["baseline"]
-        prot = point["protected"]
-        def fmt(value, width, precision=2):
-            if value is None:
-                return f"{'-':>{width}s}"
-            return f"{value:>{width}.{precision}f}"
-
-        print(f"{loss:>8g} {base['throughput_gbps']:>10.2f} "
-              f"{prot['throughput_gbps']:>10.2f} "
-              f"{point['throughput_ratio']:>7.2f} "
-              f"{fmt(base['avg_fct_us'], 9, 1)} "
-              f"{fmt(prot['avg_fct_us'], 9, 1)} "
-              f"{fmt(point['fct_ratio'], 6)} "
-              f"{fmt(prot.get('protect_time_us'), 10, 1)}")
-    gate = result["gate"]
-    if gate["pass"] is not None:
-        verdict = "PASS" if gate["pass"] else "FAIL"
-        fct = (f"{gate['fct_ratio']:.2f}x"
-               if gate["fct_ratio"] is not None else "-")
-        print(f"gate @ {gate['loss_rate']:g} loss : {verdict} "
-              f"(throughput {gate['throughput_ratio']:.2f}x, "
-              f"FCT {fct}; need >=2x tput or <=0.5x FCT)")
-    json_path = args.bench_json or args.json
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=1)
-        print(f"wrote {json_path}")
-    return 0 if gate["pass"] in (True, None) else 1
-
-
-def cmd_bench_ctrl(args) -> int:
-    from repro.ctrl.bench import run_ctrl_benchmark
-
-    if args.entries < 1:
-        print("error: --entries expects a positive update count",
-              file=sys.stderr)
-        return 1
-    json_path = args.bench_json or args.json
-    result = run_ctrl_benchmark(
-        entries=args.entries,
-        contended_duration_us=args.duration,
-        install_k=args.k,
-        json_path=json_path,
-    )
-    modes = result["modes"]
-    print(f"update stream     : {result['entries']:,} table modifies "
-          f"over a {result['update_window']:,}-entry window")
-    print(f"{'mode':>10s} {'sim us/op':>10s} {'sim ops/s':>14s} "
-          f"{'wall ops/s':>12s}")
-    for name in ("sync", "pipelined", "bulk"):
-        mode = modes[name]
-        print(f"{name:>10s} {mode['us_per_op']:>10.3f} "
-              f"{mode['sim_updates_per_sec']:>14,.0f} "
-              f"{mode['wall_updates_per_sec']:>12,.0f}")
-    speedup = result["speedup"]
-    gates = result["gates"]
-    print(f"pipelined speedup : {speedup['pipelined_vs_sync']:.2f}x "
-          f"(gate >= {gates['pipelined_min']:.1f}x: "
-          f"{'PASS' if gates['pipelined_pass'] else 'FAIL'})")
-    print(f"bulk speedup      : {speedup['bulk_vs_sync']:.2f}x "
-          f"(gate >= {gates['bulk_min']:.1f}x: "
-          f"{'PASS' if gates['bulk_pass'] else 'FAIL'})")
-    contended = result["contended"]
-    print(f"contended legacy  : p50={contended['legacy_p50_us']:.2f} us "
-          f"p99={contended['legacy_p99_us']:.2f} us "
-          f"({contended['legacy_updates']} updates vs "
-          f"{contended['agent_iterations']} agent iterations + "
-          f"{contended['loader_ops_completed']:,} bulk-loader ops)")
-    print(f"offline cross-chk : p50={contended['offline_p50_us']:.2f} us "
-          f"p99={contended['offline_p99_us']:.2f} us")
-    install = result["route_install"]
-    print(f"route install k={install['k']} : bulk "
-          f"{install['bulk']['install_wall_sec']:.2f}s wall / "
-          f"{install['bulk']['install_sim_us']:.0f} sim us vs per-entry "
-          f"{install['per_entry']['install_sim_us']:.0f} sim us "
-          f"({install['sim_speedup']:.1f}x, "
-          f"{install['bulk']['driver_ops']:,} entries, "
-          f"{install['bulk']['bulk_txns']} txns)")
-    if json_path:
-        print(f"wrote {json_path}")
-    return 0 if gates["pipelined_pass"] and gates["bulk_pass"] else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mantis",
@@ -655,114 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the JSON summary to this path")
     p_tree.set_defaults(func=cmd_run_fattree)
 
-    p_fab_bench = sub.add_parser(
-        "bench-fabric",
-        help="fabric scaling benchmark: events/sec on a 2-switch pair "
-             "vs the FatTree fleet, plus rebalance-vs-static max-link "
-             "utilization",
-    )
-    p_fab_bench.add_argument("--duration", type=float, default=1200.0,
-                             help="simulated microseconds per run")
-    p_fab_bench.add_argument("--k", type=int, default=4,
-                             help="fat-tree arity for the fleet point")
-    p_fab_bench.add_argument("--json", default=None,
-                             help="write the result payload to this path")
-    p_fab_bench.add_argument("--bench-json", nargs="?",
-                             const="BENCH_fabric.json",
-                             default=None, metavar="PATH",
-                             help="write the tracked benchmark artifact "
-                                  "(default path: BENCH_fabric.json at "
-                                  "the repo root)")
-    p_fab_bench.set_defaults(func=cmd_bench_fabric)
-
-    p_bench = sub.add_parser(
-        "bench-fastpath",
-        help="compare interpreter vs compiled vs columnar pipeline "
-             "packet rates",
-    )
-    p_bench.add_argument("--packets", type=int, default=20_000,
-                         help="packets to pump through each engine")
-    p_bench.add_argument("--batch-size", type=int, default=256,
-                         help="packets per process_batch call in "
-                              "burst mode")
-    p_bench.add_argument("--engine", choices=("all", "columnar"),
-                         default="all",
-                         help="'columnar' skips the per-packet engines "
-                              "and measures only the batch baseline plus "
-                              "the columnar batch-size sweep")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="also report hot-loop counters (data-plane "
-                              "control/table/action counts and agent "
-                              "per-phase time)")
-    p_bench.add_argument("--json", default=None,
-                         help="write the result payload to this path")
-    p_bench.add_argument("--bench-json", nargs="?", const="BENCH_fastpath.json",
-                         default=None, metavar="PATH",
-                         help="write the tracked benchmark artifact "
-                              "(default path: BENCH_fastpath.json at the "
-                              "repo root)")
-    p_bench.set_defaults(func=cmd_bench_fastpath)
-
-    p_agent = sub.add_parser(
-        "bench-agent",
-        help="compare interpreted vs compiled reaction engines and "
-             "diff vs full commits on the DoS dialogue loop",
-    )
-    p_agent.add_argument("--iterations", type=int, default=300,
-                         help="dialogue iterations per engine")
-    p_agent.add_argument("--json", default=None,
-                         help="write the result payload to this path")
-    p_agent.add_argument("--bench-json", nargs="?", const="BENCH_agent.json",
-                         default=None, metavar="PATH",
-                         help="write the tracked benchmark artifact "
-                              "(default path: BENCH_agent.json at the "
-                              "repo root)")
-    p_agent.set_defaults(func=cmd_bench_agent)
-
-    p_guard = sub.add_parser(
-        "bench-linkguard",
-        help="sweep lossy-link rates: no-protection vs Mantis "
-             "linkguard protection (throughput + FCT curves)",
-    )
-    p_guard.add_argument("--loss", default="1e-4,1e-3,1e-2,1e-1",
-                         help="comma-separated loss rates to sweep")
-    p_guard.add_argument("--duration", type=float, default=4000.0,
-                         help="simulated microseconds per run")
-    p_guard.add_argument("--probe-period", type=float, default=1.0,
-                         help="probe period per link direction (us)")
-    p_guard.add_argument("--transfer", type=int, default=64,
-                         help="packets per transfer for FCT samples")
-    p_guard.add_argument("--json", default=None,
-                         help="write the result payload to this path")
-    p_guard.add_argument("--bench-json", nargs="?",
-                         const="BENCH_linkguard.json",
-                         default=None, metavar="PATH",
-                         help="write the tracked benchmark artifact "
-                              "(default path: BENCH_linkguard.json at "
-                              "the repo root)")
-    p_guard.set_defaults(func=cmd_bench_linkguard)
-
-    p_ctrl = sub.add_parser(
-        "bench-ctrl",
-        help="control-plane service sustained-throughput benchmark: "
-             "sync vs pipelined vs bulk table updates, contended-client "
-             "latency, fleet route-install timing",
-    )
-    p_ctrl.add_argument("--entries", type=int, default=1_048_576,
-                        help="table updates per throughput mode")
-    p_ctrl.add_argument("--duration", type=float, default=30_000.0,
-                        help="contended-scenario window (simulated us)")
-    p_ctrl.add_argument("--k", type=int, default=8,
-                        help="fat-tree arity for the route-install "
-                             "timing")
-    p_ctrl.add_argument("--json", default=None,
-                        help="write the result payload to this path")
-    p_ctrl.add_argument("--bench-json", nargs="?", const="BENCH_ctrl.json",
-                        default=None, metavar="PATH",
-                        help="write the tracked benchmark artifact "
-                             "(default path: BENCH_ctrl.json at the "
-                             "repo root)")
-    p_ctrl.set_defaults(func=cmd_bench_ctrl)
     return parser
 
 

@@ -9,9 +9,7 @@ synchronous :class:`~repro.switch.driver.Driver`:
 - :mod:`repro.ctrl.service` -- multi-client sessions with priority
   arbitration, bounded queues with backpressure, fairness accounting,
   and per-op completion callbacks in simulated time;
-- :mod:`repro.ctrl.clients` -- canned clients (the bulk loader);
-- :mod:`repro.ctrl.bench` -- the ``bench-ctrl`` sustained-throughput
-  benchmark behind ``BENCH_ctrl.json``.
+- :mod:`repro.ctrl.clients` -- canned clients (the bulk loader).
 """
 
 from repro.ctrl.channel import ChannelSchedule, PipelinedChannel

@@ -192,7 +192,7 @@ class SwitchAsic:
         self.batch_stats = BatchStats()
         # Set by whoever owns the queueing model; None means the pushed
         # PortStats.queue_depth snapshot is authoritative (standalone
-        # ASIC tests, fastbench).
+        # ASIC tests).
         self.queue_model: Optional[QueueModel] = None
         self.profile: Optional[PipelineProfile] = None
 

@@ -51,6 +51,12 @@ def test_bulk_install_is_one_txn_per_switch_and_cheaper():
         assert (
             summary[name]["install_sim_us"] < entry["install_sim_us"]
         )
+    # Fleet-wide, coalescing wins an order of magnitude of simulated
+    # install time: one txn per switch instead of one op per entry.
+    assert sum(e["bulk_txns"] for e in summary.values()) == len(built.switches)
+    assert sum(e["install_sim_us"] for e in solo_summary.values()) >= 5 * sum(
+        e["install_sim_us"] for e in summary.values()
+    )
 
 
 def test_compute_fabric_routes_one_sweep_matches_per_switch():

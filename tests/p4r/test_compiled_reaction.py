@@ -18,12 +18,14 @@ sketch / failover), randomized whole programs (hypothesis), and
 width-mask parity across every declarable C type.
 """
 
+from functools import lru_cache
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.compiler.transform import CompilerOptions
 from repro.errors import ReactionError
-from repro.fastbench import AGENT_DOS_REACTION_BODY
 from repro.p4r import compiled_reaction as compiled_mod
 from repro.p4r.compiled_reaction import CompiledReaction
 from repro.p4r.creaction import (
@@ -32,6 +34,8 @@ from repro.p4r.creaction import (
     CReaction,
     ReactionEnv,
 )
+from repro.switch.packet import Packet
+from repro.system import MantisSystem
 
 
 class FakeTable:
@@ -248,6 +252,92 @@ def test_corpus_differential(source, cfg):
 # attach host-side Python implementations; these are the equivalent
 # creaction bodies, exercising each app's characteristic pattern.
 
+AGENT_DOS_REACTION_BODY = """
+    static uint32_t prev_total;
+    static uint32_t srcs[64];
+    static uint32_t counts[64];
+    uint32_t total = total_bytes[0];
+    uint32_t src = ipv4_srcAddr;
+    uint32_t marginal = (total - prev_total) & 4294967295;
+    prev_total = total;
+    if (src != 0 && marginal != 0) {
+        int slot = 0 - 1;
+        for (int i = 0; i < 64; i++) {
+            if (srcs[i] == src || srcs[i] == 0) { slot = i; break; }
+        }
+        if (slot >= 0) {
+            srcs[slot] = src;
+            counts[slot] = counts[slot] + marginal;
+        }
+    }
+    uint32_t peak = 0;
+    uint32_t peak_src = 0;
+    for (int i = 0; i < 64; i++) {
+        if (counts[i] > peak) { peak = counts[i]; peak_src = srcs[i]; }
+    }
+    ${hot_src} = peak_src;
+    ${hot_bytes} = peak;
+    if (peak > ${threshold} && ${blocked} == 0) {
+        blocklist.addEntry(peak_src, "block");
+        ${blocked} = 1;
+    }
+    return peak;
+"""
+
+# The Figure 15 DoS program with the estimate-and-block reaction as a
+# C body (the host-Python variant lives in repro.apps.dos).
+# ``hot_src``/``hot_bytes``/``blocked`` are malleable outputs;
+# ``threshold`` is a malleable input (bytes before blocking).
+AGENT_DOS_P4R = """
+header_type standard_metadata_t {
+    fields { egress_spec : 9; packet_length : 32; }
+}
+metadata standard_metadata_t standard_metadata;
+header_type ipv4_t {
+    fields { srcAddr : 32; dstAddr : 32; proto : 8; }
+}
+header ipv4_t ipv4;
+header_type acct_t { fields { total : 32; } }
+metadata acct_t acct;
+
+register total_bytes { width : 32; instance_count : 1; }
+
+malleable value hot_src { width : 32; init : 0; }
+malleable value hot_bytes { width : 32; init : 0; }
+malleable value blocked { width : 32; init : 0; }
+malleable value threshold { width : 32; init : 100000; }
+
+action allow() { no_op(); }
+action block() { drop(); }
+
+malleable table blocklist {
+    reads { ipv4.srcAddr : exact; }
+    actions { allow; block; }
+    default_action : allow();
+    size : 1024;
+}
+
+action account() {
+    register_read(acct.total, total_bytes, 0);
+    add(acct.total, acct.total, standard_metadata.packet_length);
+    register_write(total_bytes, 0, acct.total);
+}
+table accounting {
+    actions { account; }
+    default_action : account();
+}
+
+control ingress {
+    apply(blocklist);
+    apply(accounting);
+}
+
+reaction estimate_and_block(ing ipv4.srcAddr, reg total_bytes[0:0]) {
+""" + AGENT_DOS_REACTION_BODY + """
+}
+"""
+
+
 ECMP_LB_WATCH = """
 static uint32_t prev[16] = {0};
 uint32_t marg[16] = {0};
@@ -408,6 +498,53 @@ def test_dos_reaction_blocks_attacker_in_both_engines():
         adds = [entry for entry in outcomes[-1][3]
                 if entry[:2] == ("blocklist", "addEntry")]
         assert len(adds) == 1
+
+
+@lru_cache(maxsize=None)
+def _dos_dialogue(engine):
+    """Drive the full dialogue loop (mv flip, poll, reaction, commit)
+    on the DoS program against a fixed packet schedule: every fourth
+    iteration a burst of eight packets, half from the attacker."""
+    # Small init-action packing spreads the four malleables over
+    # several shadow init tables, so commits touch more than one.
+    system = MantisSystem.from_source(
+        AGENT_DOS_P4R,
+        options=CompilerOptions(max_init_action_params=3),
+        num_ports=8,
+        reaction_engine=engine,
+    )
+    agent = system.agent
+    agent.prologue()
+    for index in range(120):
+        if index % 4 == 0:
+            for position in range(8):
+                attacker = position % 2
+                src = 0x0AFF0001 if attacker else (
+                    0x0A000001 + (index + position) % 12
+                )
+                system.asic.process(Packet(
+                    fields={"ipv4.srcAddr": src, "ipv4.dstAddr": 0x0A00FFFF,
+                            "ipv4.proto": 17 if attacker else 6},
+                    size_bytes=1500,
+                ))
+        agent.run_iteration()
+    return (
+        dict(agent.phase_totals),
+        system.driver.ops_issued,
+        agent.read_malleable("blocked"),
+    )
+
+
+@pytest.mark.parametrize("engine", ["interp", "compiled"])
+def test_dos_dialogue_engine_parity(engine):
+    """Both reaction engines drive the agent to the same simulated
+    timeline: op-count parity makes them interchangeable."""
+    other = "compiled" if engine == "interp" else "interp"
+    phases, ops, blocked = _dos_dialogue(engine)
+    other_phases, other_ops, _ = _dos_dialogue(other)
+    assert phases == other_phases
+    assert ops == other_ops
+    assert blocked == 1
 
 
 # ---------------------------------------------------------------------------

@@ -91,37 +91,12 @@ class TestCli:
         assert "phase split" in out
         assert "poll=" in out
 
-    def test_bench_fastpath_json_artifact(self, tmp_path, capsys):
-        path = tmp_path / "BENCH_fastpath.json"
-        code = main([
-            "bench-fastpath", "--packets", "600",
-            "--batch-size", "64", "--bench-json", str(path),
-        ])
+    def test_run_fabric_command(self, tmp_path, capsys):
+        path = tmp_path / "fabric.json"
+        code = main(["run-fabric", "--duration", "300", "--json", str(path)])
         assert code == 0
-        payload = json.loads(path.read_text())
-        for key in (
-            "workload", "packets", "batch_size",
-            "interpreter_pps", "compiled_pps", "batch_pps",
-            "interpreter_elapsed_sec", "compiled_elapsed_sec",
-            "batch_elapsed_sec", "speedup", "batch_speedup_vs_compiled",
-        ):
-            assert key in payload, key
-        assert payload["packets"] == 600
-        assert payload["batch_size"] == 64
-        assert payload["batch_pps"] > 0
-        out = capsys.readouterr().out
-        assert "batch (x64)" in out
-        assert "batch speedup" in out
-
-    def test_bench_fastpath_profile(self, capsys):
-        code = main(["bench-fastpath", "--packets", "400", "--profile"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "hot loops (data plane)" in out
-        assert "table_applies" in out
-        assert "accounting=" in out
-        assert "hot loops (agent" in out
-        assert "poll_us" in out
+        assert json.loads(path.read_text())["rerouted"]
+        assert "rerouted          : s0 @" in capsys.readouterr().out
 
     def test_error_reporting(self, tmp_path, capsys):
         bad = tmp_path / "bad.p4r"
