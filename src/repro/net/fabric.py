@@ -26,12 +26,13 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
 from repro.runtime import AgentActor
 from repro.switch.compiled import _tables_in
-from repro.switch.packet import Packet
+from repro.switch.packet import Packet, TemplateBurst
 from repro.system import MantisSystem
 
 try:  # numpy backs the vectorized burst tail; optional like columnar
@@ -680,6 +681,12 @@ class FabricSwitch:
         sending the packets individually.  The coalescing trade-off:
         foreign events with timestamps inside the burst window run
         after the burst instead of interleaved with it.
+
+        A :class:`TemplateBurst` on a fault-free port stays unbuilt:
+        its arrivals come from the template's size and the ingress
+        port is recorded on the burst.  A fault model needs each
+        packet for its drop and corruption draws, so there the lanes
+        are built and take the per-packet loop.
         """
         if not packets:
             return
@@ -690,9 +697,17 @@ class FabricSwitch:
         latency = port.config.latency_us
         rate = port.rate_bits_per_us
         fault = port.fault
+        send = self.clock.now + delay_us
+        if fault is None and isinstance(packets, TemplateBurst):
+            serialization = packets.template.size_bytes * 8 / rate
+            # accumulate() is the loop's repeated ``send += spacing_us``.
+            sends = accumulate(repeat(spacing_us, packets.n - 1), initial=send)
+            times = [s + latency + serialization for s in sends]
+            packets.ingress_port = ingress_port
+            self._schedule_burst(packets, times, port)
+            return
         times: List[float] = []
         batch: List[Packet] = []
-        send = self.clock.now + delay_us
         for packet in packets:
             arrival = send + latency + packet.size_bytes * 8 / rate
             send += spacing_us
@@ -703,11 +718,13 @@ class FabricSwitch:
             packet.fields["standard_metadata.ingress_port"] = ingress_port
             times.append(arrival)
             batch.append(packet)
-        if not batch:
-            return
+        if batch:
+            self._schedule_burst(batch, times, port)
+
+    def _schedule_burst(self, packets, times, port: _PortState) -> None:
         self.events.schedule(
             times[0],
-            lambda _now, b=batch, t=times, ps=port: self._ingress_burst(
+            lambda _now, b=packets, t=times, ps=port: self._ingress_burst(
                 b, t, ps
             ),
         )
@@ -722,7 +739,7 @@ class FabricSwitch:
 
     def _ingress_burst(
         self,
-        packets: List[Packet],
+        packets: Sequence[Packet],
         times: List[float],
         port: Optional[_PortState] = None,
     ) -> None:
@@ -738,9 +755,7 @@ class FabricSwitch:
             results = self._process_batch(
                 packets, times=times, tm=_BurstTM(self, packets, times)
             )
-            self.switch_drops += sum(
-                1 for result in results if result is None
-            )
+            self.switch_drops += results.count(None)
             return
         # The sink keeps queue accounting causal (packet i enqueued
         # before i+1 reads depths), which also pins the columnar engine

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.net.sim import HostLike, NetworkSim
-from repro.switch.packet import Packet, PacketTemplate
+from repro.switch.packet import Packet, PacketTemplate, TemplateBurst
 
 
 def sequenced_template(
@@ -80,6 +80,8 @@ class UdpSender(Host):
     times, arrivals, and the next tick all land on the same instants a
     per-packet sender would produce, but the event queue and the
     switch pipeline see one burst instead of ``burst_size`` entries.
+    The burst travels as a :class:`TemplateBurst`: its packets are
+    built only where someone can observe them.
     """
 
     def __init__(
@@ -117,12 +119,9 @@ class UdpSender(Host):
             self.tx_packets += 1
             self.sim.events.schedule(now + self.interval_us, self._tick)
             return
-        template = self._template
-        burst = [
-            Packet.from_template(template) for _ in range(self.burst_size)
-        ]
         self.sim.send_burst_to_switch(
-            burst, self.port, spacing_us=self.interval_us
+            TemplateBurst(self._template, self.burst_size),
+            self.port, spacing_us=self.interval_us,
         )
         self.tx_packets += self.burst_size
         # Next tick where the (burst_size+1)-th scalar send would be:

@@ -31,7 +31,11 @@ from repro.switch.columnar import (
     ColumnarResult,
 )
 from repro.switch.compiled import CompiledPipeline, PipelineProfile
-from repro.switch.packet import Packet, STANDARD_METADATA_FIELDS
+from repro.switch.packet import (
+    Packet,
+    STANDARD_METADATA_FIELDS,
+    TemplateBurst,
+)
 from repro.switch.pipeline import PipelineExecutor
 from repro.switch.registers import RegisterArray
 from repro.switch.tables import TableRuntime
@@ -410,12 +414,13 @@ class SwitchAsic:
         (see :class:`BatchStats`).
         """
         if self._ingress_sweeps is not None:
-            return self._batch_columnar(
-                ColumnarBatch.from_packets(
+            if isinstance(packets, TemplateBurst):
+                batch = ColumnarBatch.from_burst(packets)
+            else:
+                batch = ColumnarBatch.from_packets(
                     packets if isinstance(packets, list) else list(packets)
-                ),
-                times, sink, True, tm,
-            )
+                )
+            return self._batch_columnar(batch, times, sink, True, tm)
         if tm is not None and sink is None:
             # The lane loop takes the traffic manager's per-lane view.
             sink = tm.sink
@@ -543,7 +548,8 @@ class SwitchAsic:
                 "standard_metadata.ingress_global_timestamp", None, shared_ts
             )
         else:
-            stamps = np.fromiter((int(t) for t in times), np.int64, count=n)
+            # astype truncates toward zero exactly like int().
+            stamps = np.array(times, np.float64).astype(np.int64)
             shared_ts = 0
             batch.store(
                 "standard_metadata.ingress_global_timestamp", None, stamps
@@ -677,8 +683,10 @@ class SwitchAsic:
                         port = ports[port_id]
                         port.tx_packets += int(tx_counts[port_id])
                         port.tx_bytes += int(tx_bytes[port_id])
+                # A template burst's lanes stay columns unless they
+                # recirculate or leave the switch (built below).
                 packets = None
-                if collect or has_recirc:
+                if has_recirc or (collect and batch.packets is not None):
                     batch.flush()
                     packets = batch.packets
                 if has_recirc:
@@ -703,9 +711,13 @@ class SwitchAsic:
                             results[lane] = (port_id, packets[lane])
                 if collect:
                     port_list = tm_ports.tolist()
-                    for lane, alive in enumerate(deliver_mask.tolist()):
-                        if alive:
-                            results[lane] = (port_list[lane], packets[lane])
+                    lanes = np.nonzero(deliver_mask)[0]
+                    delivered = (
+                        batch.materialize(lanes) if packets is None
+                        else map(packets.__getitem__, lanes.tolist())
+                    )
+                    for lane, packet in zip(lanes.tolist(), delivered):
+                        results[lane] = (port_list[lane], packet)
                     return results
                 return ColumnarResult(tm_ports, n - dropped, dropped)
             # ---- scalar tail: TM + bound egress control per lane ----

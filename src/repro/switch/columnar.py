@@ -68,6 +68,7 @@ from repro.switch.hashing import vector_hash_fn
 from repro.switch.packet import (
     Packet,
     PacketTemplate,
+    TemplateBurst,
     collect_template_columns,
 )
 
@@ -115,19 +116,20 @@ class ColumnarBatch:
     Backed either by a list of :class:`Packet` objects (columns
     materialize from and flush back to their field dicts) or by a
     :class:`ColumnarPool` slice (columns are array copies; packets are
-    materialized only if a scalar fallback needs them)."""
+    materialized only if a scalar fallback or a delivery needs them,
+    ``lane_packet(lane)`` building each one from its template)."""
 
     __slots__ = (
-        "n", "sizes", "packets", "templates", "_pool_cols", "_pool_valid",
+        "n", "sizes", "packets", "lane_packet", "_pool_cols", "_pool_valid",
         "_offset", "cols", "written",
     )
 
-    def __init__(self, n: int, sizes, packets=None, templates=None,
+    def __init__(self, n: int, sizes, packets=None, lane_packet=None,
                  pool_cols=None, pool_valid=None, offset=0):
         self.n = n
         self.sizes = sizes
         self.packets: Optional[List[Packet]] = packets
-        self.templates: Optional[List[PacketTemplate]] = templates
+        self.lane_packet = lane_packet
         self._pool_cols = pool_cols
         self._pool_valid = pool_valid
         self._offset = offset
@@ -141,6 +143,29 @@ class ColumnarBatch:
             (p.size_bytes for p in packets), np.int64, count=len(packets)
         )
         return cls(len(packets), sizes, packets=list(packets))
+
+    @classmethod
+    def from_burst(cls, burst: TemplateBurst) -> "ColumnarBatch":
+        """A template burst as a pool-backed batch: the template's
+        columns are built once and cached on the template, the ingress
+        port is one vector store, and lane ``i`` materializes as
+        ``burst[i]`` -- the object every other holder of that lane
+        sees."""
+        require_numpy()
+        template = burst.template
+        pool = template.columns
+        if pool is None or len(pool) < burst.n:
+            try:
+                pool = ColumnarPool([template] * burst.n)
+            except OverflowError:  # a field beyond int64: gather lanes
+                return cls.from_packets(list(burst))
+            template.columns = pool
+        batch = pool.batch(0, burst.n)
+        batch.lane_packet = burst.__getitem__
+        batch.store(
+            "standard_metadata.ingress_port", None, burst.ingress_port
+        )
+        return batch
 
     # ---- columns --------------------------------------------------------
 
@@ -193,19 +218,24 @@ class ColumnarBatch:
 
     # ---- scalar-fallback boundary ---------------------------------------
 
+    def materialize(self, lanes) -> List[Packet]:
+        """Packets for the ``lanes`` index array of a pool-backed
+        batch, each carrying every vector write so far; no other lane
+        is built."""
+        packets = list(map(self.lane_packet, lanes.tolist()))
+        for key, mask in self.written.items():
+            vals = self.cols[key][lanes].tolist()
+            for packet, hit, val in zip(packets, mask[lanes].tolist(), vals):
+                if hit:
+                    packet.fields[key] = val
+        return packets
+
     def ensure_packets(self) -> List[Packet]:
-        """Materialize real packets (pool-backed batches only): one
-        re-initialized packet per template plus every vector write so
-        far.  After this the batch behaves like a packet-backed one."""
+        """Materialize every lane of a pool-backed batch (see
+        :meth:`materialize`).  After this the batch behaves like a
+        packet-backed one."""
         if self.packets is None:
-            packets = [Packet().reinit(t) for t in self.templates]
-            for key, mask in self.written.items():
-                col = self.cols[key]
-                vals = col.tolist()
-                for lane, hit in enumerate(mask.tolist()):
-                    if hit:
-                        packets[lane].fields[key] = vals[lane]
-            self.packets = packets
+            self.packets = self.materialize(np.arange(self.n))
         return self.packets
 
     def flush(self) -> None:
@@ -243,8 +273,8 @@ class ColumnarBatch:
 
 class ColumnarPool:
     """Template columns precomputed once, sliced into batches with no
-    per-packet work -- the columnar analogue of
-    :class:`~repro.switch.packet.PacketPool`."""
+    per-packet work; a lane becomes a :class:`Packet` only when a
+    scalar phase or a delivery needs it."""
 
     def __init__(self, templates: List[PacketTemplate]):
         require_numpy()
@@ -274,10 +304,13 @@ class ColumnarPool:
 
     def batch(self, start: int, stop: int) -> ColumnarBatch:
         stop = min(stop, len(self.templates))
+        templates = self.templates
         return ColumnarBatch(
             stop - start,
             self.sizes[start:stop],
-            templates=self.templates[start:stop],
+            lane_packet=lambda lane: Packet.from_template(
+                templates[start + lane]
+            ),
             pool_cols=self.cols,
             pool_valid=self.valid,
             offset=start,

@@ -76,23 +76,6 @@ class Packet:
         packet.size_bytes = template.size_bytes
         return packet
 
-    def reinit(self, template: "PacketTemplate") -> "Packet":
-        """Reset this packet in place from a precomputed template.
-
-        The batch path reuses pooled packets instead of constructing
-        fresh ones; the template already holds the merged
-        standard_metadata + payload map, so reuse is two dict copies
-        with no per-key splitting."""
-        self.packet_id = next(_packet_ids)
-        fields = self.fields
-        fields.clear()
-        fields.update(template.fields)
-        headers = self.valid_headers
-        headers.clear()
-        headers.update(template.valid_headers)
-        self.size_bytes = template.size_bytes
-        return self
-
     # ---- field access ---------------------------------------------------
 
     def get(self, key: str) -> int:
@@ -143,9 +126,12 @@ class PacketTemplate:
     Merging the standard_metadata zero map with the payload fields and
     deriving the valid-header set happens once here instead of once per
     packet, so a burst of same-shaped packets pays only
-    :meth:`Packet.reinit` (dict copy) each."""
+    :meth:`Packet.from_template` (dict copy) each.  ``columns`` is the
+    columnar engine's cache of this template's lane columns (a
+    ``ColumnarPool``), built on the first :class:`TemplateBurst` it
+    runs."""
 
-    __slots__ = ("fields", "valid_headers", "size_bytes")
+    __slots__ = ("fields", "valid_headers", "size_bytes", "columns")
 
     def __init__(
         self,
@@ -159,6 +145,42 @@ class PacketTemplate:
         self.fields = prototype.fields
         self.valid_headers = frozenset(prototype.valid_headers)
         self.size_bytes = size_bytes
+        self.columns = None
+
+
+class TemplateBurst:
+    """``n`` packets of one template, not built yet.
+
+    A burst sender hands this to the switch instead of ``n`` packet
+    dicts.  Indexing builds lane ``i`` on first access and returns that
+    same object afterwards, so every holder of a lane -- a traffic
+    manager, a delivery event, the engine's final flush -- shares one
+    packet.  Iteration builds every lane; the columnar engine instead
+    reads the burst as template columns and builds only the lanes that
+    leave the switch."""
+
+    __slots__ = ("template", "n", "ingress_port", "_lanes")
+
+    def __init__(self, template: PacketTemplate, n: int):
+        self.template = template
+        self.n = n
+        self.ingress_port = template.fields["standard_metadata.ingress_port"]
+        self._lanes: List[Optional[Packet]] = [None] * n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, lane: int) -> Packet:
+        packet = self._lanes[lane]
+        if packet is None:
+            packet = self._lanes[lane] = Packet.from_template(self.template)
+            packet.fields["standard_metadata.ingress_port"] = (
+                self.ingress_port
+            )
+        return packet
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.n))
 
 
 def collect_template_columns(
@@ -175,25 +197,3 @@ def collect_template_columns(
         keys.update(template.fields)
         headers.update(template.valid_headers)
     return keys, headers
-
-
-class PacketPool:
-    """A grow-only pool of reusable packets for batch processing."""
-
-    def __init__(self, size: int = 0):
-        self._packets: List[Packet] = [Packet() for _ in range(size)]
-
-    def take(self, templates: Sequence[PacketTemplate]) -> List[Packet]:
-        """One re-initialized packet per template.
-
-        The returned packets alias pool storage: they are valid until
-        the next :meth:`take`, which is exactly the lifetime the batch
-        path needs (process, read results, move on)."""
-        packets = self._packets
-        missing = len(templates) - len(packets)
-        if missing > 0:
-            packets.extend(Packet() for _ in range(missing))
-        return [
-            packet.reinit(template)
-            for packet, template in zip(packets, templates)
-        ]
