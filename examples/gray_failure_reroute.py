@@ -5,8 +5,9 @@
 Four neighbors send 1 us heartbeats; the switch counts them per port
 in the data plane.  The reaction compares each port's marginal count
 against delta = floor(eta * T_d / T_s) and, after two consecutive
-violations, recomputes routes (networkx shortest paths) and installs
-them through the malleable routing table.
+violations, recomputes routes (one BFS per destination over the ring's
+FabricSpec, lowest port on ties) and installs them through the
+malleable routing table.
 
 Two failures are injected: a hard failure (heartbeats stop) and a gray
 failure (the link stays up but drops 90% of heartbeats).

@@ -45,10 +45,10 @@ def main() -> None:
 
     switch.run_round()
     print("After one round-robin dialogue round:")
-    for pipeline in switch.pipelines:
+    for index, pipeline in enumerate(switch.pipelines):
         threshold = pipeline.agent.read_malleable("threshold")
-        print(f"  pipeline {pipeline.index}: observed load "
-              f"{loads[pipeline.index]:3d} -> threshold {threshold}")
+        print(f"  pipeline {index}: observed load "
+              f"{loads[index]:3d} -> threshold {threshold}")
 
     # Unsynchronized commits spread across the round; the extension
     # packs them back to back.

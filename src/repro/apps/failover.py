@@ -6,9 +6,11 @@ data plane accumulates a per-port heartbeat count; the reaction polls
 the counts (serializably) and compares the marginal count of each port
 against the expectation ``delta = floor(eta * T_d / T_s)`` where
 ``T_d`` is the time since the last dialogue.  Two consecutive
-violations mark the link as down, trigger a (networkx) route
-recomputation on the control plane, and install the new routes into
-the malleable routing table.
+violations mark the link as down, trigger a route recomputation on
+the control plane (:class:`RouteManager`: one BFS per destination over
+the switch's :class:`~repro.net.fabric_builder.FabricSpec` view, with
+the failed ports cut), and install the new routes into the malleable
+routing table.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.agent.agent import ReactionContext
-from repro.net import topology as topo
+from repro.net.fabric_builder import FabricSpec, SwitchTopology
 from repro.net.hosts import HeartbeatGenerator, SinkHost, UdpSender
+from repro.net.routing import first_hop_ports, hop_distances
 from repro.net.sim import NetworkSim
 from repro.switch.asic import STANDARD_METADATA_P4
 from repro.switch.clock import SimClock
@@ -99,23 +100,19 @@ class PortWatch:
 
 
 class RouteManager:
-    """Control-plane routing: shortest paths over a networkx graph.
+    """Control-plane routing for one switch's :class:`SwitchTopology`.
 
-    ``port_map`` maps neighbor node -> local switch port;
-    ``dest_map`` maps destination address -> destination node.
+    Tie rule: each destination in ``view.dest_map`` routes through the
+    *lowest* port among its equal-cost first hops, with the failed
+    ports' edges cut from the graph.  It is a stated policy, not an
+    accident of graph insertion order; on every topology family the
+    repo builds (neighbor rings, stars, leaf-spines, parallel-link
+    pairs, fat-trees) it picks the same port as the library
+    shortest-path first hop it replaced.
     """
 
-    def __init__(
-        self,
-        graph: nx.Graph,
-        switch_node: str,
-        port_map: Dict[str, int],
-        dest_map: Dict[int, str],
-    ):
-        self.graph = graph
-        self.switch_node = switch_node
-        self.port_map = dict(port_map)
-        self.dest_map = dict(dest_map)
+    def __init__(self, view: SwitchTopology):
+        self.view = view
         self.failed_ports: set = set()
 
     def fail_port(self, port: int) -> None:
@@ -123,21 +120,18 @@ class RouteManager:
 
     def compute_routes(self) -> Dict[int, Optional[int]]:
         """dst address -> egress port (None if unreachable)."""
-        graph = self.graph.copy()
-        for neighbor, port in self.port_map.items():
-            if port in self.failed_ports and graph.has_edge(
-                self.switch_node, neighbor
-            ):
-                graph.remove_edge(self.switch_node, neighbor)
+        view = self.view
+        cut = {
+            frozenset((view.switch_node, neighbor))
+            for neighbor, port in view.port_map.items()
+            if port in self.failed_ports
+        }
         routes: Dict[int, Optional[int]] = {}
-        for dst_addr, dst_node in self.dest_map.items():
-            try:
-                path = nx.shortest_path(graph, self.switch_node, dst_node)
-            except nx.NetworkXNoPath:
-                routes[dst_addr] = None
-                continue
-            first_hop = path[1] if len(path) > 1 else dst_node
-            routes[dst_addr] = self.port_map.get(first_hop)
+        for dst_addr, dst_node in view.dest_map.items():
+            ports = first_hop_ports(
+                view, hop_distances(view.graph, dst_node, cut), cut
+            )
+            routes[dst_addr] = ports[0] if ports else None
         return routes
 
 
@@ -291,35 +285,31 @@ def build_multihop_failover(
     data path onto link 1 -- multi-hop failover with *every* agent a
     scheduled actor on the one fabric timeline.
     """
-    view0, view1 = topo.fabric_pair(n_links=2)
-    clock = SimClock()
-    fabric = NetworkSim(clock=clock)
-    systems = [
-        MantisSystem.from_source(FAILOVER_P4R, clock=clock)
-        for _ in range(2)
-    ]
+    spec = FabricSpec("multihop-failover")
+    spec.add_switch("s0")
+    spec.add_switch("s1")
+    for index in range(2):
+        spec.add_link("s0", index, "s1", index)
+    spec.add_host("h0", "s0", 2)
+    spec.add_host("h1", "s1", 2, addr=H1_ADDR)
+    built = spec.build(FAILOVER_P4R)
     apps: List[GrayFailureApp] = []
-    for index, (system, view) in enumerate(zip(systems, (view0, view1))):
-        manager = RouteManager(
-            view.graph, view.switch_node, view.port_map, {H1_ADDR: "h1"}
-        )
+    for index, name in enumerate(("s0", "s1")):
         far = 1 - index
         apps.append(GrayFailureApp(
-            manager,
+            RouteManager(spec.switch_view(name)),
             watched_ports=[0, 1],
             heartbeat_period_us=heartbeat_period_us,
             eta=eta,
-            system=system,
+            system=built.system(name),
             # Count probes addressed to me; pin probe routes to their
             # own link so a dead link's probes die on the wire instead
             # of detouring.
             hb_sink_addrs=[hb_sink_addr(index, 0), hb_sink_addr(index, 1)],
             static_routes={hb_sink_addr(far, 0): 0, hb_sink_addr(far, 1): 1},
         ))
-    s0 = fabric.add_switch(systems[0], "s0")
-    s1 = fabric.add_switch(systems[1], "s1")
-    fabric.connect(s0, 0, s1, 0)
-    fabric.connect(s0, 1, s1, 1)
+    s0 = built.switch("s0")
+    s1 = built.switch("s1")
 
     sender = UdpSender(
         "h0",
@@ -328,9 +318,9 @@ def build_multihop_failover(
         rate_gbps=data_rate_gbps,
         burst_size=data_burst_size,
     )
-    s0.attach_host(sender, 2)
+    built.attach_host("h0", sender)
     sink = SinkHost("h1", window_us=sink_window_us)
-    s1.attach_host(sink, 2)
+    built.attach_host("h1", sink)
 
     generators: List[HeartbeatGenerator] = []
     for source, far in ((s0, 1), (s1, 0)):
@@ -345,7 +335,7 @@ def build_multihop_failover(
             source.attach_host(generator, 3 + link_index)
             generators.append(generator)
     return MultiHopScenario(
-        fabric=fabric,
+        fabric=built.fabric,
         apps=(apps[0], apps[1]),
         sender=sender,
         sink=sink,
@@ -435,30 +425,35 @@ def run_multihop_failover(
     }
 
 
+def neighbor_ring(n_neighbors: int) -> FabricSpec:
+    """The Figure 16 topology: switch ``s0`` with neighbor switches
+    ``n<i>`` on ports ``0..n_neighbors-1``, the neighbors cabled into a
+    ring (so every destination has a detour when its direct link
+    fails), and destination host ``h<i>`` at address ``0x0A000100 + i``
+    under each neighbor."""
+    spec = FabricSpec("neighbor-ring")
+    spec.add_switch("s0")
+    for index in range(n_neighbors):
+        spec.add_switch(f"n{index}")
+        spec.add_link("s0", index, f"n{index}", 0)
+    # A ring of two neighbors is one cable, and of one is none.
+    ring_links = n_neighbors if n_neighbors > 2 else n_neighbors - 1
+    for index in range(ring_links):
+        spec.add_link(f"n{index}", 1, f"n{(index + 1) % n_neighbors}", 2)
+    for index in range(n_neighbors):
+        spec.add_host(f"h{index}", f"n{index}", 3, 0x0A000100 + index)
+    return spec
+
+
 def build_failover_scenario(
     n_neighbors: int = 4,
     heartbeat_period_us: float = 1.0,
     eta: float = 0.5,
 ) -> Tuple[GrayFailureApp, NetworkSim, Dict[int, HeartbeatGenerator]]:
-    """A switch with ``n_neighbors`` neighbors in a ring (so every
-    destination has a detour) plus one attached destination host per
-    neighbor."""
-    graph = nx.Graph()
-    graph.add_node("s0")
-    port_map: Dict[str, int] = {}
-    dest_map: Dict[int, str] = {}
-    for index in range(n_neighbors):
-        node = f"n{index}"
-        graph.add_edge("s0", node)
-        port_map[node] = index
-        dest_map[0x0A000100 + index] = node
-    # Ring among neighbors: detours exist when a direct link fails.
-    for index in range(n_neighbors):
-        graph.add_edge(f"n{index}", f"n{(index + 1) % n_neighbors}")
-
-    manager = RouteManager(graph, "s0", port_map, dest_map)
+    """Switch ``s0`` of a :func:`neighbor_ring`, one heartbeat
+    generator per neighbor port."""
     app = GrayFailureApp(
-        manager,
+        RouteManager(neighbor_ring(n_neighbors).switch_view("s0")),
         watched_ports=list(range(n_neighbors)),
         heartbeat_period_us=heartbeat_period_us,
         eta=eta,

@@ -19,7 +19,7 @@ detects such links from the data plane and reacts:
   ``gaps / (gaps + seen)``.  Above ``loss_threshold`` it flips the
   protection malleable: every monitored route whose primary egress is
   the lossy port is rewritten to the port's backup (the parallel link
-  of the ``fabric_pair`` topology), or -- in ``protect_mode
+  between the two switches), or -- in ``protect_mode
   "disable"`` -- the port is administratively shut.  After
   ``clean_windows`` consecutive windows at or below
   ``restore_threshold`` the original routing is restored.

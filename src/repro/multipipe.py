@@ -9,7 +9,8 @@ threads, each handling its own component."
 :class:`MultiPipelineSwitch` instantiates one compiled program N times
 -- each pipeline is a full :class:`~repro.system.MantisSystem` (its own
 ASIC state, driver, fault injector, agent) on a single shared simulated
-clock, so every system-level knob (``retry_policy``, ``fault_plan``,
+clock, and every other keyword argument is forwarded to each system,
+so every system-level knob (``retry_policy``, ``fault_plan``,
 ``verify_commits``, ``record_timeline``, ``seed``) works per pipeline
 exactly as it does on a single-pipeline switch.  Agent "threads" are
 modelled by interleaving dialogue iterations round-robin (each
@@ -36,105 +37,45 @@ from repro.errors import AgentError
 from repro.p4r.ast import P4RProgram
 from repro.runtime import AgentActor, Scheduler
 from repro.switch.clock import SimClock
-from repro.switch.driver import DriverCostModel, RetryPolicy
 from repro.system import MantisSystem
-
-
-class Pipeline:
-    """One pipeline: a private :class:`MantisSystem` on the shared clock.
-
-    Construction delegates to :class:`MantisSystem` -- the single
-    source of component wiring -- rather than re-assembling ASIC,
-    driver, and agent by hand; ``asic``/``driver``/``agent`` remain
-    direct attributes for the established call sites.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        artifacts: CompiledArtifacts,
-        clock: SimClock,
-        num_ports: int,
-        cost_model: Optional[DriverCostModel],
-        pacing_sleep_us: float,
-        execution_mode: Optional[str] = None,
-        poll_batching: bool = False,
-        seed: Optional[int] = None,
-        record_timeline: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
-        fault_plan=None,
-        verify_commits: bool = False,
-    ):
-        self.index = index
-        # Each pipeline owns its program instance so runtime state
-        # (entries, registers) is fully disjoint; the rest of the
-        # artifact bundle (spec, sources) is immutable and shared.
-        self.system = MantisSystem(
-            replace(artifacts, p4=artifacts.p4.clone()),
-            clock=clock,
-            num_ports=num_ports,
-            cost_model=cost_model,
-            pacing_sleep_us=pacing_sleep_us,
-            record_timeline=record_timeline,
-            seed=index if seed is None else seed,
-            execution_mode=execution_mode,
-            retry_policy=retry_policy,
-            fault_plan=fault_plan,
-            verify_commits=verify_commits,
-            poll_batching=poll_batching,
-        )
-        self.asic = self.system.asic
-        self.driver = self.system.driver
-        self.agent = self.system.agent
-        self.fault_injector = self.system.fault_injector
-
-    def process_batch(self, packets, times=None, sink=None):
-        """Burst-mode entry point for this pipeline's private ASIC."""
-        return self.asic.process_batch(packets, times=times, sink=sink)
 
 
 class MultiPipelineSwitch:
     """N pipelines of one program on a shared clock.
 
-    ``fault_plan`` may be a single :class:`~repro.faults.FaultPlan`
-    (armed on every pipeline -- injector state lives outside the plan,
-    so sharing is safe) or a mapping ``{pipeline index: plan}`` to
-    target specific pipelines.  ``seed`` offsets the per-pipeline ASIC
-    seeds (pipeline ``i`` gets ``seed + i``), keeping the historical
-    default of seed-by-index at ``seed=0``.
+    ``pipelines`` holds one :class:`MantisSystem` per pipeline, built
+    with ``system_kwargs``.  ``fault_plan`` may be a single
+    :class:`~repro.faults.FaultPlan` (armed on every pipeline --
+    injector state lives outside the plan, so sharing is safe) or a
+    mapping ``{pipeline index: plan}`` to target specific pipelines.
+    ``seed`` offsets the per-pipeline ASIC seeds (pipeline ``i`` gets
+    ``seed + i``), keeping the historical default of seed-by-index at
+    ``seed=0``.
     """
 
     def __init__(
         self,
         artifacts: CompiledArtifacts,
         n_pipelines: int = 2,
-        num_ports: int = 32,
-        cost_model: Optional[DriverCostModel] = None,
-        pacing_sleep_us: float = 0.0,
         clock: Optional[SimClock] = None,
-        execution_mode: Optional[str] = None,
-        poll_batching: bool = False,
         seed: int = 0,
-        record_timeline: bool = False,
-        retry_policy: Optional[RetryPolicy] = None,
         fault_plan=None,
-        verify_commits: bool = False,
+        **system_kwargs,
     ):
         if n_pipelines < 1:
             raise AgentError("need at least one pipeline")
         self.artifacts = artifacts
         self.clock = clock or SimClock()
-        self.pipelines: List[Pipeline] = [
-            Pipeline(
-                index, artifacts, self.clock, num_ports,
-                cost_model, pacing_sleep_us,
-                execution_mode=execution_mode,
-                poll_batching=poll_batching,
+        # Each pipeline owns its program instance so runtime state
+        # (entries, registers) is fully disjoint; the rest of the
+        # artifact bundle (spec, sources) is immutable and shared.
+        self.pipelines: List[MantisSystem] = [
+            MantisSystem(
+                replace(artifacts, p4=artifacts.p4.clone()),
+                clock=self.clock,
                 seed=seed + index,
-                record_timeline=record_timeline,
-                retry_policy=retry_policy,
                 fault_plan=self._plan_for(fault_plan, index),
-                verify_commits=verify_commits,
+                **system_kwargs,
             )
             for index in range(n_pipelines)
         ]
@@ -161,7 +102,7 @@ class MultiPipelineSwitch:
     def __len__(self) -> int:
         return len(self.pipelines)
 
-    def __getitem__(self, index: int) -> Pipeline:
+    def __getitem__(self, index: int) -> MantisSystem:
         return self.pipelines[index]
 
     def prologue(self) -> None:
@@ -172,11 +113,11 @@ class MultiPipelineSwitch:
     def attach_python(
         self,
         reaction_name: str,
-        factory: Callable[[Pipeline], Callable[[ReactionContext], None]],
+        factory: Callable[[MantisSystem], Callable[[ReactionContext], None]],
     ) -> None:
         """Attach per-pipeline reaction implementations.
 
-        ``factory(pipeline)`` builds one callable per pipeline, so each
+        ``factory(system)`` builds one callable per pipeline, so each
         agent instance carries its own closure state (the per-line-card
         agent instances of Section 4).
         """
@@ -212,10 +153,10 @@ class MultiPipelineSwitch:
                 "Scheduler(clock=switch.clock)"
             )
         actors = []
-        for pipeline in self.pipelines:
+        for index, pipeline in enumerate(self.pipelines):
             actor = AgentActor(
                 pipeline.agent, period_us=period_us,
-                name=f"pipeline{pipeline.index}.agent",
+                name=f"pipeline{index}.agent",
             )
             scheduler.spawn(actor)
             actors.append(actor)

@@ -1,15 +1,14 @@
 """Declarative fabric construction: describe a whole topology once,
 instantiate it as a :class:`repro.net.sim.NetworkSim` fleet.
 
-The original growth path built topologies twice -- once as a networkx
-graph for the control plane (:mod:`repro.net.topology`) and once as
-imperative ``add_switch``/``connect`` calls for the data plane.  A
-:class:`FabricSpec` is the single source of truth for both: it holds
-switches, links, and hosts declaratively, derives the per-switch
-:class:`~repro.net.topology.SwitchTopology` views the route managers
-consume (``switch_view``), and materializes the whole fabric as one
-``NetworkSim`` with one :class:`~repro.system.MantisSystem` per switch
-on a shared clock (``build``).
+A :class:`FabricSpec` is the one topology model, for the control
+plane and the data plane alike: it holds switches, links, and hosts
+declaratively, renders them as a plain adjacency dict (``graph``),
+derives the per-switch :class:`SwitchTopology` views the route
+managers consume (``switch_view``), and materializes the whole fabric
+as one ``NetworkSim`` with one :class:`~repro.system.MantisSystem` per
+switch on a shared clock (``build``).  Shortest paths over it are
+:mod:`repro.net.routing`'s one BFS.
 
 :class:`FatTree` is the canonical multi-stage instance: the standard
 k-ary fat-tree (Al-Fares et al.) with ``k`` pods, ``k/2`` edge and
@@ -18,31 +17,46 @@ hosts per edge switch -- ``FatTree(4)`` is the 20-switch / 16-host
 fleet the scaling benchmarks run on.
 
 Parallel links (same unordered switch pair cabled more than once)
-cannot live on a simple ``nx.Graph`` edge, so the derived graph routes
-each such link through an intermediate node -- the historical
-``fabric_pair`` encoding, now generalized (``link_node`` controls the
-naming so legacy wrappers stay bit-identical).
+cannot share one graph edge, so the graph routes each such link
+through an intermediate node named ``<a>=<b>.<index>``: shortest-path
+routing then tells the links apart, and cutting one leaves the detour
+through the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
-
-import networkx as nx
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.net.sim import FabricSwitch, Link, NetworkSim, PortConfig
-from repro.net.topology import SwitchTopology
 from repro.p4r.parser import parse_p4r
 from repro.switch.clock import SimClock
 from repro.system import MantisSystem
 
-LinkNodeNamer = Callable[[str, str, int], str]
+#: Node -> neighbor nodes; every edge is listed from both ends.
+Graph = Dict[str, List[str]]
 
 
-def _default_link_node(a: str, b: str, index: int) -> str:
-    return f"{a}={b}.{index}"
+@dataclass
+class SwitchTopology:
+    """The fabric as seen from one switch (``switch_node``)."""
+
+    graph: Graph
+    switch_node: str
+    port_map: Dict[str, int] = field(default_factory=dict)  # neighbor -> port
+    dest_map: Dict[int, str] = field(default_factory=dict)  # addr -> node
+
+    def validate(self) -> None:
+        adjacent = self.graph.get(self.switch_node, ())
+        for neighbor in self.port_map:
+            if neighbor not in adjacent:
+                raise SimulationError(
+                    f"port map names non-adjacent neighbor {neighbor!r}"
+                )
+        for node in self.dest_map.values():
+            if node not in self.graph:
+                raise SimulationError(f"destination node {node!r} not in graph")
 
 
 @dataclass
@@ -73,7 +87,7 @@ class HostSpec:
     """One host hanging off ``switch`` at ``port``.
 
     ``addr`` is the host's routable address (``None`` for hosts whose
-    addressing is scenario-private, e.g. the legacy pair wrappers).
+    addressing is scenario-private, e.g. a traffic source).
     """
 
     name: str
@@ -145,13 +159,10 @@ class FabricSpec:
 
     # ---- derived views --------------------------------------------------
 
-    def _link_nodes(
-        self, link_node: Optional[LinkNodeNamer] = None
-    ) -> List[Tuple[LinkSpec, Optional[str]]]:
+    def _link_nodes(self) -> List[Tuple[LinkSpec, Optional[str]]]:
         """Each link with its intermediate graph node (``None`` when the
         link is the only cable between its switch pair and can be a
         direct edge)."""
-        namer = link_node or _default_link_node
         counts: Dict[frozenset, int] = {}
         for link in self.links:
             counts[link.pair] = counts.get(link.pair, 0) + 1
@@ -163,64 +174,55 @@ class FabricSpec:
                 continue
             index = seen.get(link.pair, 0)
             seen[link.pair] = index + 1
-            out.append((link, namer(link.a, link.b, index)))
+            out.append((link, f"{link.a}={link.b}.{index}"))
         return out
 
-    def graph(
-        self,
-        include_hosts: bool = True,
-        link_node: Optional[LinkNodeNamer] = None,
-    ) -> nx.Graph:
-        """The control-plane graph.
+    def graph(self) -> Graph:
+        """The control-plane graph: every switch, link node and host,
+        adjacent to what it is cabled to (links first, then hosts, in
+        declaration order)."""
+        graph: Graph = {name: [] for name in self.switches}
 
-        Edge insertion order follows declaration order (links first,
-        then hosts) so shortest-path tie-breaking is deterministic and
-        matches the historical imperative builders.
-        """
-        graph = nx.Graph()
-        for name in self.switches:
-            graph.add_node(name)
-        for link, node in self._link_nodes(link_node):
+        def edge(a: str, b: str) -> None:
+            graph.setdefault(a, []).append(b)
+            graph.setdefault(b, []).append(a)
+
+        for link, node in self._link_nodes():
             if node is None:
-                graph.add_edge(link.a, link.b)
+                edge(link.a, link.b)
             else:
-                graph.add_edge(link.a, node)
-                graph.add_edge(node, link.b)
-        if include_hosts:
-            for host in self.hosts.values():
-                graph.add_edge(host.switch, host.name)
+                edge(link.a, node)
+                edge(node, link.b)
+        for host in self.hosts.values():
+            edge(host.switch, host.name)
         return graph
 
-    def switch_view(
-        self,
-        name: str,
-        link_node: Optional[LinkNodeNamer] = None,
-        graph: Optional[nx.Graph] = None,
-    ) -> SwitchTopology:
-        """The fabric as seen from one switch: the shared graph plus
-        this switch's neighbor->port and address->node maps (the inputs
-        of :class:`repro.apps.failover.RouteManager`).
-
-        Pass ``graph`` to share one derived graph object across several
-        views (it must come from :meth:`graph` with the same
-        ``link_node`` namer)."""
+    def port_map(self, name: str) -> Dict[str, int]:
+        """Switch ``name``'s neighbor node -> local port map."""
         if name not in self.switches:
             raise SimulationError(f"unknown switch {name!r}")
-        if graph is None:
-            graph = self.graph(link_node=link_node)
-        port_map: Dict[str, int] = {}
-        for link, node in self._link_nodes(link_node):
+        ports: Dict[str, int] = {}
+        for link, node in self._link_nodes():
             if link.a == name:
-                port_map[node or link.b] = link.a_port
+                ports[node or link.b] = link.a_port
             elif link.b == name:
-                port_map[node or link.a] = link.b_port
-        dest_map: Dict[int, str] = {}
+                ports[node or link.a] = link.b_port
         for host in self.hosts.values():
             if host.switch == name:
-                port_map[host.name] = host.port
-            if host.addr is not None:
-                dest_map[host.addr] = host.name
-        view = SwitchTopology(graph, name, port_map, dest_map)
+                ports[host.name] = host.port
+        return ports
+
+    def switch_view(self, name: str) -> SwitchTopology:
+        """The fabric as seen from one switch: the graph plus this
+        switch's neighbor->port map and every host's address->node
+        entry (the input of :class:`repro.apps.failover.RouteManager`)."""
+        dest_map = {
+            host.addr: host.name
+            for host in self.hosts.values() if host.addr is not None
+        }
+        view = SwitchTopology(
+            self.graph(), name, self.port_map(name), dest_map
+        )
         view.validate()
         return view
 

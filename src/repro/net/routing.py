@@ -17,11 +17,15 @@ modes:
 - ``random``    -- each multi-port destination is pinned to a port
   drawn from a per-switch seeded RNG (deterministic per seed).
 
-Scaling: route computation shares one BFS distance map per
-*destination* across every switch (a neighbor ``n`` of switch ``s``
-is on a shortest path to ``d`` iff ``dist(d, n) == dist(d, s) - 1``),
-so a FatTree(k=8) fleet costs ``O(dests * edges)`` instead of
-``O(switches * dests * paths)``.  Installation streams all of a
+Shortest paths are one BFS: ``hop_distances`` counts hops from a
+destination (optionally with cut edges), and ``first_hop_ports``
+turns that map into a switch's equal-cost egress ports -- a neighbor
+``n`` of switch ``s`` is on a shortest path to ``d`` iff
+``dist(d, n) == dist(d, s) - 1``.  The fabric sweep builds the graph
+once and shares one BFS per *destination* across every switch, so a
+FatTree(k=8) fleet costs ``O(dests * edges)``; the failover
+``RouteManager`` reuses the same two functions with its failed ports
+cut.  Installation streams all of a
 switch's entries through :meth:`Driver.write_batch` DMA-burst
 transactions by default (``bulk=True``), which is what keeps an
 80-switch k=8 install sub-second; ``bulk=False`` restores one driver
@@ -35,22 +39,67 @@ forward/hash/skip idiom can be routed; the defaults match
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.net.fabric_builder import BuiltFabric, FabricSpec
+from repro.net.fabric_builder import (
+    BuiltFabric,
+    FabricSpec,
+    Graph,
+    SwitchTopology,
+)
 
 #: ``forward`` writes this bucket so the select table skips hashing.
 SENTINEL_BUCKET = 0xFFFF
 
 ROUTE_MODES = ("hashed", "round_robin", "random")
 
+#: Edges removed from a search, each the ``frozenset`` of its two ends.
+Cut = AbstractSet[frozenset]
+
+
+def hop_distances(
+    graph: Graph, dest: str, cut: Cut = frozenset()
+) -> Dict[str, int]:
+    """Hop count to ``dest`` from every node that can reach it, by BFS
+    over ``graph`` without the ``cut`` edges."""
+    distance = {dest: 0}
+    frontier = [dest]
+    hops = 0
+    while frontier:
+        hops += 1
+        reached = []
+        for node in frontier:
+            for peer in graph[node]:
+                if peer in distance or (cut and frozenset((node, peer)) in cut):
+                    continue
+                distance[peer] = hops
+                reached.append(peer)
+        frontier = reached
+    return distance
+
+
+def first_hop_ports(
+    view: SwitchTopology, distance: Dict[str, int], cut: Cut = frozenset()
+) -> List[int]:
+    """Sorted egress ports of ``view``'s switch on a shortest path to
+    the destination ``distance`` was measured from: every uncut
+    neighbor one hop closer.  Empty when the destination is
+    unreachable or is the switch itself."""
+    here = distance.get(view.switch_node)
+    if here is None:
+        return []
+    return sorted({
+        port
+        for neighbor, port in view.port_map.items()
+        if distance.get(neighbor) == here - 1
+        and frozenset((view.switch_node, neighbor)) not in cut
+    })
+
 
 def _dest_map(
     spec: FabricSpec,
-    graph,
+    graph: Graph,
     extra_dests: Optional[Dict[int, str]],
 ) -> Dict[int, str]:
     """Address -> destination node, hosts plus service aliases."""
@@ -70,43 +119,22 @@ def compute_fabric_routes(
     switch_names: Sequence[str],
     extra_dests: Optional[Dict[int, str]] = None,
 ) -> Dict[str, Dict[int, List[int]]]:
-    """ECMP groups for every switch in one sweep.
+    """ECMP groups for every switch in one sweep over one graph.
 
-    One BFS per *destination node* (shared by all switches) replaces
-    the per-(switch, dest) all-shortest-paths enumeration: a neighbor
-    lies on a shortest path exactly when it is one hop closer to the
-    destination.
+    One BFS per *destination node*, shared by all switches; a
+    destination a switch cannot reach (or is) gets no entry.
     """
-    switch_names = list(switch_names)
-    if not switch_names:
-        return {}
-    views = {name: spec.switch_view(name) for name in switch_names}
-    shared_graph = views[switch_names[0]].graph
-    dests = _dest_map(spec, shared_graph, extra_dests)
-    distance: Dict[str, Dict[str, int]] = {}
-    for node in set(dests.values()):
-        distance[node] = nx.single_source_shortest_path_length(
-            shared_graph, node
-        )
+    graph = spec.graph()
+    dests = _dest_map(spec, graph, extra_dests)
+    distance = {
+        node: hop_distances(graph, node) for node in set(dests.values())
+    }
     routes: Dict[str, Dict[int, List[int]]] = {}
     for name in switch_names:
-        view = views[name]
-        graph = view.graph
-        neighbors = list(graph.neighbors(name)) if name in graph else []
+        view = SwitchTopology(graph, name, spec.port_map(name))
         switch_routes: Dict[int, List[int]] = {}
         for addr in sorted(dests):
-            node = dests[addr]
-            if node == name:
-                continue
-            dist = distance[node]
-            here = dist.get(name)
-            if here is None:
-                continue  # unreachable (severed fabric)
-            ports = sorted({
-                view.port_map[neighbor]
-                for neighbor in neighbors
-                if dist.get(neighbor) == here - 1
-            })
+            ports = first_hop_ports(view, distance[dests[addr]])
             if ports:
                 switch_routes[addr] = ports
         routes[name] = switch_routes

@@ -13,9 +13,7 @@ fabric and forwards the legacy port/host API to it.
 
 The per-switch mechanics (port queues, lazy accounting, peer handoff,
 link faults, the vectorized burst tail) live in
-:mod:`repro.net.fabric`; this module composes them and keeps the
-historical import surface (``from repro.net.sim import NetworkSim,
-PortConfig, Link, LinkFaultModel, ...`` all still work).
+:mod:`repro.net.fabric`; this module composes them.
 
 Fabric cost scales with *active events*, not fabric size: link
 endpoints are indexed by ``(switch, port)``, per-port queue accounting
@@ -37,23 +35,23 @@ never blocks on the CPU).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.net.fabric import (  # noqa: F401  (re-exported surface)
+from repro.net.fabric import (
     FabricSwitch,
     HostLike,
     Link,
     LinkFaultModel,
     PortConfig,
-    _BurstTM,
-    _PortState,
-    _burst_vec_ok,
-    _prim_touches,
 )
 from repro.runtime import Scheduler
 from repro.switch.clock import SimClock
 from repro.system import MantisSystem
+
+if TYPE_CHECKING:
+    from repro.net.fabric import _PortState
+    from repro.switch.packet import Packet
 
 __all__ = [
     "FabricSwitch",

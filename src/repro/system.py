@@ -96,11 +96,6 @@ class MantisSystem:
             delta_polling=delta_polling, commit_pipelining=commit_pipelining,
         )
 
-    def process_batch(self, packets, times=None, sink=None):
-        """Burst-mode data plane: run a list of packets through the
-        ASIC in one call (see :meth:`SwitchAsic.process_batch`)."""
-        return self.asic.process_batch(packets, times=times, sink=sink)
-
     @classmethod
     def from_source(
         cls,

@@ -80,9 +80,11 @@ class TestScheduling:
     def test_per_pipeline_reaction_factories(self, switch):
         log = {0: [], 1: [], 2: []}
 
-        def factory(pipeline):
+        def factory(system):
+            index = switch.pipelines.index(system)
+
             def reaction(ctx):
-                log[pipeline.index].append(ctx.args["seen"][0])
+                log[index].append(ctx.args["seen"][0])
 
             return reaction
 
@@ -101,4 +103,5 @@ class TestConstruction:
 
     def test_len_and_indexing(self, switch):
         assert len(switch) == 3
-        assert switch[2].index == 2
+        assert switch[2] is switch.pipelines[2]
+        assert len({id(system) for system in switch.pipelines}) == 3

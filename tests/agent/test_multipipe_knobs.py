@@ -1,9 +1,9 @@
 """Per-pipeline system knobs and commit-skew measurement.
 
-The Pipeline class delegates to :class:`MantisSystem`, so the fault /
-retry / verification / timeline knobs behave per pipeline exactly as
-on a single-pipeline switch; ``run_round_synchronized`` reports the
-window between the first and last commit *completions*.
+Each pipeline is a :class:`MantisSystem`, so the fault / retry /
+verification / timeline knobs behave per pipeline exactly as on a
+single-pipeline switch; ``run_round_synchronized`` reports the window
+between the first and last commit *completions*.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.multipipe import MultiPipelineSwitch
 from repro.runtime import Scheduler
 from repro.switch.asic import STANDARD_METADATA_P4
 from repro.switch.driver import RetryPolicy
+from repro.system import MantisSystem
 
 PROGRAM = STANDARD_METADATA_P4 + """
 header_type h_t { fields { f : 32; out : 32; } }
@@ -96,10 +97,15 @@ class TestKnobPlumbing:
     def test_pipeline_exposes_its_system(self):
         switch = MultiPipelineSwitch.from_source(PROGRAM, n_pipelines=2)
         for pipeline in switch.pipelines:
-            assert pipeline.system.asic is pipeline.asic
-            assert pipeline.system.driver is pipeline.driver
-            assert pipeline.system.agent is pipeline.agent
-            assert pipeline.system.clock is switch.clock
+            assert isinstance(pipeline, MantisSystem)
+            assert pipeline.clock is switch.clock
+        # Every other keyword reaches each system unchanged.
+        paced = MultiPipelineSwitch.from_source(
+            PROGRAM, n_pipelines=2, pacing_sleep_us=3.0, num_ports=8,
+        )
+        for pipeline in paced.pipelines:
+            assert pipeline.agent.pacing_sleep_us == 3.0
+            assert pipeline.asic.num_ports == 8
 
 
 class TestCommitSkew:

@@ -9,28 +9,46 @@ import pytest
 
 from repro.apps.failover import (
     H1_ADDR,
+    RouteManager,
     build_multihop_failover,
     hb_sink_addr,
     run_multihop_failover,
 )
-from repro.net import topology
+from repro.net.fabric_builder import FabricSpec
 
 
 class TestFabricPairTopology:
-    def test_views_share_one_graph(self):
-        view0, view1 = topology.fabric_pair()
-        assert view0.graph is view1.graph
+    """The scenario's two-switch FabricSpec, as its route managers see it."""
+
+    @pytest.fixture(scope="class")
+    def views(self):
+        scenario = build_multihop_failover()
+        return [app.routes.view for app in scenario.apps]
+
+    def test_views_share_one_graph(self, views):
+        view0, view1 = views
+        assert view0.graph == view1.graph
         assert view0.switch_node == "s0"
         assert view1.switch_node == "s1"
+        assert view0.dest_map == view1.dest_map == {H1_ADDR: "h1"}
 
-    def test_parallel_links_are_distinct_nodes(self):
-        view0, _ = topology.fabric_pair(n_links=3)
-        assert {view0.port_map[f"l{i}"] for i in range(3)} == {0, 1, 2}
-        assert view0.port_map["h0"] == 3
+    def test_parallel_links_are_distinct_nodes(self, views):
+        view0, _ = views
+        assert view0.port_map == {"s0=s1.0": 0, "s0=s1.1": 1, "h0": 2}
+        for node in ("s0=s1.0", "s0=s1.1"):
+            assert view0.graph[node] == ["s0", "s1"]
 
-    def test_single_link_rejected(self):
-        with pytest.raises(Exception):
-            topology.fabric_pair(n_links=1)
+    def test_single_link_has_no_detour(self):
+        spec = FabricSpec()
+        spec.add_switch("s0")
+        spec.add_switch("s1")
+        spec.add_link("s0", 0, "s1", 0)
+        spec.add_host("h1", "s1", 1, addr=H1_ADDR)
+        assert spec.graph()["s0"] == ["s1"]  # no intermediate node
+        manager = RouteManager(spec.switch_view("s0"))
+        assert manager.compute_routes() == {H1_ADDR: 0}
+        manager.fail_port(0)
+        assert manager.compute_routes() == {H1_ADDR: None}
 
 
 class TestMultiHopFailover:

@@ -347,7 +347,7 @@ class TestVectorizedBurstTail:
         program qualifies (drops are ingress-only), a recirculating
         program does not."""
         pytest.importorskip("numpy")
-        from repro.net.sim import _burst_vec_ok
+        from repro.net.fabric import _burst_vec_ok
         from repro.switch.asic import STANDARD_METADATA_P4
 
         dos = MantisSystem.from_source(DOS_P4R, num_ports=8)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.net import topology as topo
 from repro.net.fabric_builder import FabricSpec, FatTree
 from repro.net.routing import (
     SENTINEL_BUCKET,
@@ -52,8 +55,13 @@ class TestFabricSpec:
     def test_graph_and_views(self):
         spec = small_spec()
         graph = spec.graph()
-        assert set(graph.nodes) == {
-            "leaf0", "leaf1", "spine0", "spine1", "hA", "hB"
+        assert graph == {
+            "leaf0": ["spine0", "spine1", "hA"],
+            "leaf1": ["spine0", "spine1", "hB"],
+            "spine0": ["leaf0", "leaf1"],
+            "spine1": ["leaf0", "leaf1"],
+            "hA": ["leaf0"],
+            "hB": ["leaf1"],
         }
         view = spec.switch_view("leaf0")
         assert view.port_map == {"spine0": 0, "spine1": 1, "hA": 2}
@@ -68,12 +76,12 @@ class TestFabricSpec:
         spec.add_link("s0", 0, "s1", 0)
         spec.add_link("s0", 1, "s1", 1)
         graph = spec.graph()
-        assert not graph.has_edge("s0", "s1")
+        assert "s1" not in graph["s0"]
         view = spec.switch_view("s0")
-        assert sorted(view.port_map.values()) == [0, 1]
+        assert view.port_map == {"s0=s1.0": 0, "s0=s1.1": 1}
         for node in view.port_map:
-            assert graph.has_edge("s0", node)
-            assert graph.has_edge(node, "s1")
+            assert node in graph["s0"]
+            assert graph[node] == ["s0", "s1"]
 
     def test_build_materializes_fleet(self):
         from repro.apps.fabric_lb import FABRIC_P4R
@@ -91,34 +99,6 @@ class TestFabricSpec:
     def test_empty_spec_rejected(self):
         with pytest.raises(SimulationError):
             FabricSpec().build("")
-
-
-class TestLegacyWrappers:
-    """fabric_pair / leaf_spine are now thin wrappers over FabricSpec;
-    their historical surface is pinned exactly."""
-
-    def test_fabric_pair_surface(self):
-        view0, view1 = topo.fabric_pair(n_links=2)
-        assert view0.graph is view1.graph
-        assert view0.port_map == {"l0": 0, "l1": 1, "h0": 2}
-        assert view1.port_map == {"l0": 0, "l1": 1, "h1": 2}
-        assert view0.dest_map == {}
-        edges = {frozenset(edge) for edge in view0.graph.edges}
-        assert edges == {
-            frozenset(e) for e in [
-                ("s0", "l0"), ("s0", "l1"), ("s0", "h0"),
-                ("l0", "s1"), ("l1", "s1"), ("s1", "h1"),
-            ]
-        }
-        # Adjacency order (what shortest-path tie-breaking sees) must
-        # match the historical imperative builder.
-        assert list(view0.graph.adj["s0"]) == ["l0", "l1", "h0"]
-        assert list(view0.graph.adj["s1"]) == ["l0", "l1", "h1"]
-
-    def test_leaf_spine_surface(self):
-        view = topo.leaf_spine(3, 2, base_addr=0x0A000100)
-        assert view.port_map == {"sp0": 0, "sp1": 1}
-        assert view.dest_map == {0x0A000100: "leaf1", 0x0A000101: "leaf2"}
 
 
 class TestFatTreeSpec:
@@ -229,3 +209,25 @@ class TestInstallRoutes:
         fabric = built.fabric
         fabric.run_until(fabric.clock.now + 50.0, agent=False)
         assert sink.rx_packets == 4
+
+
+def test_routing_apps_import_no_third_party_graph_library():
+    """The routing apps load nothing beyond the standard library, numpy
+    and ``repro`` itself: shortest paths are the in-repo BFS."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro.apps.fabric_lb, repro.apps.failover\n"
+        "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names)"
+        " - {'repro', 'numpy'}))\n"
+    )
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))), "src"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert result.stdout.strip() == "[]"
