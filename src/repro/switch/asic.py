@@ -3,9 +3,16 @@
 Loads a (plain, post-Mantis-compile) P4 program and provides:
 
 - packet processing through ingress -> traffic manager -> egress,
+  per packet (:meth:`SwitchAsic.process`) or per burst
+  (:meth:`SwitchAsic.process_batch`),
 - stepped execution that yields between table applications so
   isolation experiments can interleave control-plane writes mid-packet,
-- recirculation (bounded),
+- recirculation (bounded): each recirculation is one more full
+  pipeline pass, counted in ``pipeline_passes`` as it starts.  The
+  pass loop exists three times -- inlined in ``process`` (the hot
+  path), as a generator in ``process_stepped``, and as
+  ``_run_passes``, which every burst lane that needs scalar passes
+  goes through,
 - per-port queue statistics surfaced in ``standard_metadata``,
 - access to tables/registers/counters for the driver.
 
@@ -25,11 +32,7 @@ from repro.p4 import ast
 from repro.p4.validate import validate_program
 from repro.switch.clock import SimClock
 from repro.switch import columnar as columnar_engine
-from repro.switch.columnar import (
-    ColumnarBatch,
-    ColumnarPipeline,
-    ColumnarResult,
-)
+from repro.switch.columnar import ColumnarBatch, ColumnarPipeline
 from repro.switch.compiled import CompiledPipeline, PipelineProfile
 from repro.switch.packet import (
     Packet,
@@ -386,11 +389,10 @@ class SwitchAsic:
         Semantically identical to calling :meth:`process` per packet --
         same results, counters, timestamps, and port statistics.  A
         burst takes one of two shapes, fixed when the engine was bound:
-        the columnar engine's vectorized sweeps when it has a plan for
-        the program, otherwise the bound controls lane by lane, with
-        the port list and timestamp resolved once per burst.  Drops
-        stay inline; recirculation finishes its extra passes per
-        packet.
+        (a) the columnar engine's vectorized sweeps
+        (:meth:`process_batch_columnar`) when it has a plan for the
+        program, otherwise (b) each lane through :meth:`_run_passes`,
+        the bound controls with the timestamp resolved once per burst.
 
         ``times`` optionally gives each packet a notional clock value
         (the network simulator's burst coalescing: one event, exact
@@ -420,67 +422,32 @@ class SwitchAsic:
                 batch = ColumnarBatch.from_packets(
                     packets if isinstance(packets, list) else list(packets)
                 )
-            return self._batch_columnar(batch, times, sink, True, tm)
+            return self.process_batch_columnar(batch, times, sink, tm)
         if tm is not None and sink is None:
             # The lane loop takes the traffic manager's per-lane view.
             sink = tm.sink
-        ingress = self._ingress
-        egress = self._egress
-        ports = self.ports
-        num_ports = self.num_ports
-        queue_model = self.queue_model
+        run_passes = self._run_passes
         clock_now = self.clock.now
         shared_ts = int(clock_now) if times is None else None
         results: List[ProcessResult] = []
         append = results.append
-        passes = 0
         dropped = 0
         fused = 0
-        drop_key = "standard_metadata.drop_flag"
         try:
             for index, packet in enumerate(packets):
-                passes += 1
-                fields = packet.fields
                 if shared_ts is None:
                     t_now = times[index]
                     ts = int(t_now)
                 else:
                     t_now = clock_now
                     ts = shared_ts
-                fields["standard_metadata.ingress_global_timestamp"] = ts
-                if ingress is not None:
-                    ingress(packet)
-                if not fields[drop_key]:
-                    port_id = fields["standard_metadata.egress_spec"]
-                    if not 0 <= port_id < num_ports:
-                        raise SwitchError(
-                            f"egress_spec {port_id} out of range"
-                        )
-                    fields["standard_metadata.egress_port"] = port_id
-                    if queue_model is not None:
-                        depth = queue_model(port_id, t_now)
-                    else:
-                        depth = ports[port_id].queue_depth
-                    fields["standard_metadata.enq_qdepth"] = depth
-                    fields["standard_metadata.deq_qdepth"] = depth
-                    fields["standard_metadata.egress_global_timestamp"] = ts
-                    if egress is not None:
-                        egress(packet)
-                if fields[drop_key]:
+                recirculated, result = run_passes(
+                    packet, t_now, ts, MAX_RECIRCULATIONS
+                )
+                if result is None:
                     dropped += 1
+                if not recirculated:
                     fused += 1
-                    result = None
-                elif fields["standard_metadata.recirculate_flag"]:
-                    extra, result = self._recirculate(packet, t_now, ts)
-                    passes += extra
-                    if result is None:
-                        dropped += 1
-                else:
-                    fused += 1
-                    port = ports[port_id]
-                    port.tx_packets += 1
-                    port.tx_bytes += packet.size_bytes
-                    result = (port_id, packet)
                 append(result)
                 if sink is not None:
                     sink(index, result)
@@ -489,7 +456,6 @@ class SwitchAsic:
             # failing, or never reached -- is slow path.
             n = len(packets)
             self.packets_processed += n
-            self.pipeline_passes += passes
             self.packets_dropped += dropped
             stats = self.batch_stats
             stats.batches += 1
@@ -498,42 +464,87 @@ class SwitchAsic:
             stats.slow_path += n - fused
         return results
 
+    def _run_passes(
+        self,
+        packet: Packet,
+        now: float,
+        ts: int,
+        budget: int,
+        ingress: bool = True,
+    ) -> Tuple[bool, ProcessResult]:
+        """One burst lane's pipeline passes, by the rules of
+        :meth:`process`'s loop: ingress (skipped on the first pass when
+        ``ingress`` is false, because the columnar sweeps already ran
+        it), the drop check, the traffic manager and egress; a raised
+        ``recirculate_flag`` is cleared and the lane re-enters ingress
+        while ``budget`` recirculations remain, and is delivered with
+        the flag cleared once it is spent.
+
+        Each pass counts into :attr:`pipeline_passes` as its ingress
+        starts (a first pass that starts at the traffic manager was
+        counted with the sweeps), so an error mid-recirculation leaves
+        the count :meth:`process` leaves.  Port transmit counters grow
+        on delivery; the caller owns every other counter.  Returns
+        ``(recirculated, result)``."""
+        fields = packet.fields
+        run_ingress = self._ingress
+        egress = self._egress
+        recirculated = False
+        while True:
+            if ingress:
+                self.pipeline_passes += 1
+                fields["standard_metadata.ingress_global_timestamp"] = ts
+                if run_ingress is not None:
+                    run_ingress(packet)
+            ingress = True
+            if fields["standard_metadata.drop_flag"]:
+                return recirculated, None
+            self._traffic_manager_at(packet, now, ts)
+            if egress is not None:
+                egress(packet)
+            if (
+                fields["standard_metadata.drop_flag"]
+                or not fields["standard_metadata.recirculate_flag"]
+            ):
+                break
+            fields["standard_metadata.recirculate_flag"] = 0
+            if not budget:
+                break
+            budget -= 1
+            recirculated = True
+        if fields["standard_metadata.drop_flag"]:
+            return recirculated, None
+        port_id = fields["standard_metadata.egress_port"]
+        port = self.ports[port_id]
+        port.tx_packets += 1
+        port.tx_bytes += packet.size_bytes
+        return recirculated, (port_id, packet)
+
     def process_batch_columnar(
         self,
         batch: ColumnarBatch,
         times: Optional[Sequence[float]] = None,
-    ) -> ColumnarResult:
-        """Native columnar entry: run a (typically pool-backed) batch
-        and return per-lane egress ports without materializing
-        ``Packet`` objects -- the benchmark fast path.  Requires the
-        columnar engine with a columnar-admissible program; use
-        :meth:`process_batch` for the always-available path."""
+        sink: Optional[Callable[[int, ProcessResult], None]] = None,
+        tm: Optional[object] = None,
+    ) -> List[ProcessResult]:
+        """Shape (a) of :meth:`process_batch`, for a batch already in
+        columns: vectorized table-major ingress sweeps, then either a
+        vectorized traffic-manager/egress tail (no sink, vectorizable
+        egress, in-range specs, and either no queue model or a
+        caller-provided batched ``tm``) or a scalar tail that finishes
+        each lane in lane order through :meth:`_run_passes`, starting
+        at the traffic manager.  Lanes the vectorized tail leaves with
+        ``recirculate_flag`` raised finish their remaining passes the
+        same way, in ascending lane order, after every lane's first
+        pass.  Returns per-packet results.  Requires the columnar
+        engine with a columnar-admissible program."""
         if self._ingress_sweeps is None:
             raise SwitchError(
                 "process_batch_columnar requires execution_mode='columnar' "
                 "with a columnar-admissible program (and profiling off)"
             )
-        return self._batch_columnar(batch, times, None, False)
-
-    def _batch_columnar(
-        self,
-        batch: ColumnarBatch,
-        times: Optional[Sequence[float]],
-        sink: Optional[Callable[[int, ProcessResult], None]],
-        collect: bool,
-        tm: Optional[object] = None,
-    ):
-        """Columnar burst execution: vectorized table-major ingress
-        sweeps, then either a vectorized traffic-manager/egress tail
-        (no sink, vectorizable egress, in-range specs, and either no
-        queue model or a caller-provided batched ``tm``) or a scalar
-        per-lane tail that runs the traffic manager and the bound
-        egress control in lane order, exactly like the second half of
-        :meth:`process_batch`'s lane loop.  Returns per-packet results
-        (``collect``) or a :class:`ColumnarResult`."""
         np = columnar_engine.np
         executor = self.executor
-        sweeps = self._ingress_sweeps
         egress_sweeps = self._egress_sweeps
         n = batch.n
         ports = self.ports
@@ -541,6 +552,7 @@ class SwitchAsic:
         queue_model = self.queue_model
         clock_now = self.clock.now
         drop_key = "standard_metadata.drop_flag"
+        recirc_key = "standard_metadata.recirculate_flag"
         if times is None:
             stamps = None
             shared_ts = int(clock_now)
@@ -555,15 +567,12 @@ class SwitchAsic:
                 "standard_metadata.ingress_global_timestamp", None, stamps
             )
         state = columnar_engine._SweepState(batch, executor.fallback_counts)
-        results: Optional[List[ProcessResult]] = (
-            [None] * n if collect else None
-        )
-        processed = n
-        passes = n
+        results: List[ProcessResult] = [None] * n
         dropped = 0
+        run_passes = self._run_passes
         try:
             try:
-                for sweep in sweeps:
+                for sweep in self._ingress_sweeps:
                     sweep.run(state)
             except SwitchError:
                 # Every lane was mid-sweep: bucket them all so
@@ -645,8 +654,7 @@ class SwitchAsic:
                 drop = batch.col(drop_key)
                 live2 = drop == 0
                 dropped = n - int(live2.sum())
-                recirc = batch.col("standard_metadata.recirculate_flag")
-                recirc_mask = live2 & (recirc != 0)
+                recirc_mask = live2 & (batch.col(recirc_key) != 0)
                 has_recirc = bool(recirc_mask.any())
                 if tm is not None and (
                     has_recirc or dropped != n - int(live_mask.sum())
@@ -683,117 +691,72 @@ class SwitchAsic:
                         port = ports[port_id]
                         port.tx_packets += int(tx_counts[port_id])
                         port.tx_bytes += int(tx_bytes[port_id])
-                # A template burst's lanes stay columns unless they
-                # recirculate or leave the switch (built below).
-                packets = None
-                if has_recirc or (collect and batch.packets is not None):
-                    batch.flush()
-                    packets = batch.packets
                 if has_recirc:
-                    # Columnar recirculation: compact the flagged
-                    # lanes into a sub-batch and re-run the vectorized
-                    # sweeps per pass instead of draining each lane.
-                    lanes = np.nonzero(recirc_mask)[0]
-                    extra, lane_ports = self._recirculate_columnar(
-                        batch, lanes, times, stamps, shared_ts,
-                        clock_now, state,
+                    # These lanes ended their first pass with the flag
+                    # raised: re-entry clears it, and they finish
+                    # below, one by one, with one recirculation spent.
+                    recirc_lanes = np.nonzero(recirc_mask)[0]
+                    batch.store(recirc_key, recirc_lanes, 0)
+                    state.mark_fallback(
+                        recirc_lanes, len(recirc_lanes), "recirc"
                     )
-                    passes += extra
-                    tm_ports[lanes] = lane_ports
-                    port_vals = lane_ports.tolist()
-                    for pos, lane in enumerate(lanes.tolist()):
-                        port_id = port_vals[pos]
-                        if port_id < 0:
+                # A template burst's lanes stay columns unless they
+                # recirculate or leave the switch.
+                lanes = np.nonzero(live2)[0]
+                if batch.packets is None:
+                    built = batch.materialize(lanes)
+                else:
+                    batch.flush()
+                    built = map(batch.packets.__getitem__, lanes.tolist())
+                port_list = tm_ports.tolist()
+                for lane, packet in zip(lanes.tolist(), built):
+                    results[lane] = (port_list[lane], packet)
+                if has_recirc:
+                    # A recirculating lane's slot holds its packet
+                    # until its last pass replaces it with the result.
+                    for lane in recirc_lanes.tolist():
+                        if stamps is None:
+                            t_now = clock_now
+                            ts = shared_ts
+                        else:
+                            t_now = times[lane]
+                            ts = int(stamps[lane])
+                        _, result = run_passes(
+                            results[lane][1], t_now, ts,
+                            MAX_RECIRCULATIONS - 1,
+                        )
+                        if result is None:
                             dropped += 1
-                            if collect:
-                                results[lane] = None
-                        elif collect:
-                            results[lane] = (port_id, packets[lane])
-                if collect:
-                    port_list = tm_ports.tolist()
-                    lanes = np.nonzero(deliver_mask)[0]
-                    delivered = (
-                        batch.materialize(lanes) if packets is None
-                        else map(packets.__getitem__, lanes.tolist())
-                    )
-                    for lane, packet in zip(lanes.tolist(), delivered):
-                        results[lane] = (port_list[lane], packet)
-                    return results
-                return ColumnarResult(tm_ports, n - dropped, dropped)
-            # ---- scalar tail: TM + bound egress control per lane ----
+                        results[lane] = result
+                return results
+            # ---- scalar tail: each lane from the traffic manager on ----
             if tm is not None and sink is None:
                 sink = tm.sink
             executor.count_fallback(tail_reason, n)
             batch.flush()
             packets = batch.packets
-            egress = self._egress
-            lane_ports = None if collect else np.full(n, -1, np.int64)
             index = -1
             accounted = True
             try:
                 for index, packet in enumerate(packets):
                     accounted = False
-                    fields = packet.fields
                     if stamps is None:
                         t_now = clock_now
                         ts = shared_ts
                     else:
                         t_now = times[index]
                         ts = int(stamps[index])
-                    if fields[drop_key]:
-                        dropped += 1
-                        accounted = True
-                        if sink is not None:
-                            sink(index, None)
-                        continue
-                    port_id = fields["standard_metadata.egress_spec"]
-                    if not 0 <= port_id < num_ports:
-                        raise SwitchError(
-                            f"egress_spec {port_id} out of range"
-                        )
-                    fields["standard_metadata.egress_port"] = port_id
-                    if queue_model is not None:
-                        depth = queue_model(port_id, t_now)
-                    else:
-                        depth = ports[port_id].queue_depth
-                    fields["standard_metadata.enq_qdepth"] = depth
-                    fields["standard_metadata.deq_qdepth"] = depth
-                    fields["standard_metadata.egress_global_timestamp"] = ts
-                    if egress is not None:
-                        egress(packet)
-                    if fields[drop_key]:
-                        dropped += 1
-                        accounted = True
-                        if sink is not None:
-                            sink(index, None)
-                        continue
-                    if fields["standard_metadata.recirculate_flag"]:
-                        state.fallback[index] = True
-                        state.reasons["recirc"] = (
-                            state.reasons.get("recirc", 0) + 1
-                        )
-                        accounted = True
-                        extra, result = self._recirculate(packet, t_now, ts)
-                        passes += extra
-                        if result is None:
-                            dropped += 1
-                        if collect:
-                            results[index] = result
-                        elif result is not None:
-                            lane_ports[index] = result[0]
-                        if sink is not None:
-                            sink(index, result)
-                        continue
+                    recirculated, result = run_passes(
+                        packet, t_now, ts, MAX_RECIRCULATIONS, False
+                    )
                     accounted = True
-                    port = ports[port_id]
-                    port.tx_packets += 1
-                    port.tx_bytes += packet.size_bytes
-                    if collect:
-                        results[index] = (port_id, packet)
-                    else:
-                        lane_ports[index] = port_id
+                    if recirculated:
+                        state.mark_fallback(index, 1, "recirc")
+                    if result is None:
+                        dropped += 1
+                    results[index] = result
                     if sink is not None:
-                        sink(index, (port_id, packet))
+                        sink(index, result)
             except SwitchError:
                 # The failing lane counts slow; unreached lanes already
                 # finished ingress, so they count by its drop flag.
@@ -805,214 +768,21 @@ class SwitchAsic:
                     else:
                         state.fallback[later_index] = True
                 raise
-            if collect:
-                return results
-            return ColumnarResult(lane_ports, n - dropped, dropped)
+            return results
         finally:
+            # Every lane's first pass ran in the ingress sweeps; the
+            # recirculation passes counted themselves in _run_passes.
             slow = int(state.fallback.sum())
-            self.packets_processed += processed
-            self.pipeline_passes += passes
+            self.packets_processed += n
+            self.pipeline_passes += n
             self.packets_dropped += dropped
             stats = self.batch_stats
             stats.batches += 1
-            stats.packets += processed
-            stats.fused += processed - slow
+            stats.packets += n
+            stats.fused += n - slow
             stats.slow_path += slow
-            stats.columnar += processed
+            stats.columnar += n
             stats.columnar_fallback += slow
-
-    def _recirculate(
-        self, packet: Packet, now: float, ts: int
-    ) -> Tuple[int, ProcessResult]:
-        """Passes 2..N of a packet whose first pass requested
-        recirculation; mirrors the tail of :meth:`process`.  Returns
-        ``(extra_passes, result)``; the caller owns the counters."""
-        fields = packet.fields
-        fields["standard_metadata.recirculate_flag"] = 0
-        fields["standard_metadata.ingress_global_timestamp"] = ts
-        if self._ingress is not None:
-            self._ingress(packet)
-        if fields["standard_metadata.drop_flag"]:
-            return 1, None
-        extra, result = self._recirculate_tail(
-            packet, now, ts, MAX_RECIRCULATIONS - 1
-        )
-        return 1 + extra, result
-
-    def _recirculate_tail(
-        self, packet: Packet, now: float, ts: int, budget: int
-    ) -> Tuple[int, ProcessResult]:
-        """Finish one recirculation pass from the traffic manager
-        onward (its ingress already ran), then continue for up to
-        ``budget`` further full passes through the bound controls;
-        mirrors the loop of :meth:`process`.  Returns
-        ``(extra_full_passes, result)``."""
-        ingress = self._ingress
-        egress = self._egress
-        fields = packet.fields
-        extra = 0
-        while True:
-            self._traffic_manager_at(packet, now, ts)
-            if egress is not None:
-                egress(packet)
-            if (
-                fields["standard_metadata.drop_flag"]
-                or not fields["standard_metadata.recirculate_flag"]
-            ):
-                break
-            fields["standard_metadata.recirculate_flag"] = 0
-            if budget == 0:
-                break
-            budget -= 1
-            extra += 1
-            fields["standard_metadata.ingress_global_timestamp"] = ts
-            if ingress is not None:
-                ingress(packet)
-            if fields["standard_metadata.drop_flag"]:
-                break
-        if fields["standard_metadata.drop_flag"]:
-            return extra, None
-        port_id = fields["standard_metadata.egress_port"]
-        port = self.ports[port_id]
-        port.tx_packets += 1
-        port.tx_bytes += packet.size_bytes
-        return extra, (port_id, packet)
-
-    def _recirculate_columnar(
-        self,
-        parent: ColumnarBatch,
-        lanes,
-        times,
-        stamps,
-        shared_ts: int,
-        clock_now: float,
-        parent_state,
-    ):
-        """Columnar recirculation: compact the recirculate-flagged
-        lanes into a sub-batch (sharing the parent's packet objects)
-        and re-run the vectorized sweeps pass by pass instead of
-        draining each lane through the bound controls.
-
-        Only reachable for programs whose admitted footprint is
-        recirc-alone -- no registers, counters, or RNG anywhere -- so
-        sweeping all still-recirculating lanes together each pass is
-        unobservable.  Lanes that need scalar semantics mid-flight (an
-        out-of-range ``egress_spec`` must raise at its exact lane
-        position with per-lane partial effects) drain in ascending
-        lane order and count as fallbacks; everything else stays
-        vectorized.  Returns ``(extra_passes, lane_ports)`` where
-        ``lane_ports[k] == -1`` marks a dropped lane."""
-        np = columnar_engine.np
-        executor = self.executor
-        sweeps = self._ingress_sweeps
-        egress_sweeps = self._egress_sweeps
-        ports = self.ports
-        num_ports = self.num_ports
-        packets = parent.packets
-        sub_packets = [packets[int(lane)] for lane in lanes.tolist()]
-        sub = ColumnarBatch.from_packets(sub_packets)
-        m = sub.n
-        state = columnar_engine._SweepState(sub, executor.fallback_counts)
-        active = np.ones(m, bool)
-        lane_ports = np.full(m, -1, np.int64)
-        vec_tx = np.zeros(m, bool)
-        tm_latest = np.full(m, -1, np.int64)
-        extra_passes = 0
-        sub_ts = None if stamps is None else stamps[lanes]
-        drop_key = "standard_metadata.drop_flag"
-        recirc_key = "standard_metadata.recirculate_flag"
-        for pass_no in range(MAX_RECIRCULATIONS):
-            act_idx = np.nonzero(active)[0]
-            if not act_idx.size:
-                break
-            extra_passes += int(act_idx.size)
-            sub.store(recirc_key, act_idx, 0)
-            sub.store(
-                "standard_metadata.ingress_global_timestamp", act_idx,
-                shared_ts if sub_ts is None else sub_ts[act_idx],
-            )
-            for sweep in sweeps:
-                sweep.run(state, active)
-            drop = sub.col(drop_key)
-            alive = active & (drop == 0)
-            active = alive  # ingress-dropped lanes finish as None
-            if not bool(alive.any()):
-                continue
-            alive_idx = np.nonzero(alive)[0]
-            spec = sub.col("standard_metadata.egress_spec")
-            aspec = spec[alive_idx]
-            if bool(((aspec < 0) | (aspec >= num_ports)).any()):
-                # Scalar continuation: the bad lane must raise at its
-                # own position, with earlier lanes fully committed.
-                parent_state.mark_fallback(
-                    lanes[alive_idx], int(alive_idx.size), "recirc"
-                )
-                sub.flush()
-                budget = MAX_RECIRCULATIONS - pass_no - 1
-                for k in alive_idx.tolist():
-                    lane = int(lanes[k])
-                    t_now = clock_now if times is None else times[lane]
-                    ts = shared_ts if sub_ts is None else int(sub_ts[k])
-                    tail_extra, result = self._recirculate_tail(
-                        sub_packets[k], t_now, ts, budget
-                    )
-                    extra_passes += tail_extra
-                    lane_ports[k] = -1 if result is None else result[0]
-                active[:] = False
-                sub.resync()  # the packet dicts are authoritative now
-                break
-            # Vectorized traffic manager: static depth snapshot (the
-            # queue model is statically absent on this tail).
-            sub.store("standard_metadata.egress_port", alive_idx, aspec)
-            depths = np.fromiter(
-                (port.queue_depth for port in ports),
-                np.int64, count=num_ports,
-            )
-            depth_vals = depths[aspec]
-            sub.store("standard_metadata.enq_qdepth", alive_idx, depth_vals)
-            sub.store("standard_metadata.deq_qdepth", alive_idx, depth_vals)
-            sub.store(
-                "standard_metadata.egress_global_timestamp", alive_idx,
-                shared_ts if sub_ts is None else sub_ts[alive_idx],
-            )
-            tm_latest[alive_idx] = aspec
-            for sweep in egress_sweeps:
-                sweep.run(state, alive)
-            drop = sub.col(drop_key)
-            alive = active & (drop == 0)
-            recirc = sub.col(recirc_key)
-            again = alive & (recirc != 0)
-            deliver = alive & ~again
-            if bool(deliver.any()):
-                didx = np.nonzero(deliver)[0]
-                lane_ports[didx] = tm_latest[didx]
-                vec_tx[didx] = True
-            active = again
-        if bool(active.any()):
-            # Budget exhausted with the flag still raised: the scalar
-            # loop clears it on its way out and delivers at the final
-            # pass's traffic-manager port.
-            aidx = np.nonzero(active)[0]
-            sub.store(recirc_key, aidx, 0)
-            lane_ports[aidx] = tm_latest[aidx]
-            vec_tx[aidx] = True
-        sub.flush()
-        if bool(vec_tx.any()):
-            vidx = np.nonzero(vec_tx)[0]
-            vports = lane_ports[vidx]
-            tx_counts = np.bincount(vports, minlength=num_ports)
-            tx_bytes = np.bincount(
-                vports,
-                weights=sub.sizes[vidx].astype(np.float64),
-                minlength=num_ports,
-            )
-            for port_id in np.nonzero(tx_counts)[0].tolist():
-                port = ports[port_id]
-                port.tx_packets += int(tx_counts[port_id])
-                port.tx_bytes += int(tx_bytes[port_id])
-        if bool(state.fallback.any()):
-            parent_state.fallback[lanes[np.nonzero(state.fallback)[0]]] = True
-        return extra_passes, lane_ports
 
     def process_stepped(self, packet: Packet) -> Iterator[Tuple[str, str]]:
         """Stepped variant of :meth:`process`; yields

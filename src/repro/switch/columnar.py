@@ -9,8 +9,9 @@ every lane before table k+1 sees any:
 
 - a :class:`ColumnarBatch` holds one ``int64`` column per
   ``"instance.field"`` key, materialized lazily from ``Packet`` dicts
-  (or sliced from a :class:`ColumnarPool` with no per-packet work at
-  all) and written back only for lanes a sweep actually wrote;
+  (or broadcast from a :class:`TemplateBurst`'s one template, with no
+  per-packet work at all) and written back only for lanes a sweep
+  actually wrote;
 - exact-match lookup packs each table's key fields into one ``int64``
   and resolves entries via equality scans (few entries) or
   ``np.searchsorted`` against a sorted key index cached per
@@ -49,7 +50,11 @@ recirculation only ever alone.  Bodies with a single level of
 control-flow ``if`` pass the same rule over every reachable arm, which
 is sound because each lane executes exactly one arm and the condition
 is a pure function of that lane's fields.  A program the rule rejects
-runs its bursts through the generated controls lane by lane.
+runs its bursts through the generated controls lane by lane.  A lane
+that recirculates is not swept again: after its first pass it
+finishes through the ASIC's one scalar pass routine
+(``SwitchAsic._run_passes``), counted under the ``recirc`` fallback
+reason.
 """
 
 from __future__ import annotations
@@ -65,12 +70,7 @@ from repro.errors import SwitchError
 from repro.p4 import ast
 from repro.switch.compiled import CompiledPipeline, _FLAG_KEYS, _tables_in
 from repro.switch.hashing import vector_hash_fn
-from repro.switch.packet import (
-    Packet,
-    PacketTemplate,
-    TemplateBurst,
-    collect_template_columns,
-)
+from repro.switch.packet import Packet, TemplateBurst
 
 HAVE_NUMPY = np is not None
 
@@ -81,6 +81,9 @@ _RECIRC = "standard_metadata.recirculate_flag"
 # Conservative bit budget: every intermediate must fit int64 with
 # headroom for prefix sums over a full batch.
 _MAX_BITS = 62
+# A template value must lie in this range to broadcast as a column.
+_I64_MIN = -(1 << 63)
+_I64_MAX = (1 << 63) - 1
 # Entry counts up to this size match via per-entry equality scans
 # (cheaper than sort+searchsorted for the sparse tables Mantis installs).
 _SCAN_ENTRIES = 8
@@ -92,6 +95,14 @@ def require_numpy() -> None:
             "the columnar engine requires numpy (MANTIS_PIPELINE=columnar); "
             "install numpy>=1.22 or select the compiled/interpreter engine"
         )
+
+
+def _broadcast(n: int, value: int) -> "np.ndarray":
+    """A fresh column of ``n`` lanes holding ``value`` (``np.full``
+    costs twice as much at burst sizes)."""
+    arr = np.empty(n, np.int64)
+    arr.fill(value)
+    return arr
 
 
 class _Unvectorizable(Exception):
@@ -115,24 +126,19 @@ class ColumnarBatch:
 
     Backed either by a list of :class:`Packet` objects (columns
     materialize from and flush back to their field dicts) or by a
-    :class:`ColumnarPool` slice (columns are array copies; packets are
-    materialized only if a scalar fallback or a delivery needs them,
-    ``lane_packet(lane)`` building each one from its template)."""
+    :class:`TemplateBurst`: every lane starts as the burst's one
+    template, so a column is that template's value broadcast over the
+    lanes, and lane ``i`` is built -- as ``burst[i]``, carrying every
+    vector write so far -- only when a scalar phase or a delivery
+    needs it."""
 
-    __slots__ = (
-        "n", "sizes", "packets", "lane_packet", "_pool_cols", "_pool_valid",
-        "_offset", "cols", "written",
-    )
+    __slots__ = ("n", "sizes", "packets", "burst", "cols", "written")
 
-    def __init__(self, n: int, sizes, packets=None, lane_packet=None,
-                 pool_cols=None, pool_valid=None, offset=0):
+    def __init__(self, n: int, sizes, packets=None, burst=None):
         self.n = n
         self.sizes = sizes
         self.packets: Optional[List[Packet]] = packets
-        self.lane_packet = lane_packet
-        self._pool_cols = pool_cols
-        self._pool_valid = pool_valid
-        self._offset = offset
+        self.burst: Optional[TemplateBurst] = burst
         self.cols: Dict[str, "np.ndarray"] = {}
         self.written: Dict[str, "np.ndarray"] = {}
 
@@ -146,22 +152,19 @@ class ColumnarBatch:
 
     @classmethod
     def from_burst(cls, burst: TemplateBurst) -> "ColumnarBatch":
-        """A template burst as a pool-backed batch: the template's
-        columns are built once and cached on the template, the ingress
-        port is one vector store, and lane ``i`` materializes as
-        ``burst[i]`` -- the object every other holder of that lane
-        sees."""
+        """A template burst as a template-backed batch: each column
+        the sweeps touch is the template's value broadcast over the
+        lanes, and the burst's ingress port is one vector store.  A
+        template field beyond int64 gathers the burst as a packet
+        list instead."""
         require_numpy()
         template = burst.template
-        pool = template.columns
-        if pool is None or len(pool) < burst.n:
-            try:
-                pool = ColumnarPool([template] * burst.n)
-            except OverflowError:  # a field beyond int64: gather lanes
-                return cls.from_packets(list(burst))
-            template.columns = pool
-        batch = pool.batch(0, burst.n)
-        batch.lane_packet = burst.__getitem__
+        if not all(_I64_MIN <= value <= _I64_MAX
+                   for value in template.fields.values()):
+            return cls.from_packets(list(burst))
+        batch = cls(
+            burst.n, _broadcast(burst.n, template.size_bytes), burst=burst
+        )
         batch.store(
             "standard_metadata.ingress_port", None, burst.ingress_port
         )
@@ -181,11 +184,9 @@ class ColumnarBatch:
                 except OverflowError:
                     raise _Unvectorizable(f"field {key} exceeds int64")
             else:
-                pooled = self._pool_cols.get(key)
-                if pooled is None:
-                    arr = np.zeros(self.n, np.int64)
-                else:
-                    arr = pooled[self._offset:self._offset + self.n].copy()
+                arr = _broadcast(
+                    self.n, self.burst.template.fields.get(key, 0)
+                )
             self.cols[key] = arr
         return arr
 
@@ -196,10 +197,8 @@ class ColumnarBatch:
                  for p in self.packets),
                 np.int64, count=self.n,
             )
-        pooled = self._pool_valid.get(header)
-        if pooled is None:
-            return np.zeros(self.n, np.int64)
-        return pooled[self._offset:self._offset + self.n].astype(np.int64)
+        valid = header in self.burst.template.valid_headers
+        return _broadcast(self.n, int(valid))
 
     def store(self, key: str, idx, values) -> None:
         """Write ``values`` into lanes ``idx`` (``None`` = all lanes)
@@ -219,10 +218,10 @@ class ColumnarBatch:
     # ---- scalar-fallback boundary ---------------------------------------
 
     def materialize(self, lanes) -> List[Packet]:
-        """Packets for the ``lanes`` index array of a pool-backed
+        """Packets for the ``lanes`` index array of a template-backed
         batch, each carrying every vector write so far; no other lane
         is built."""
-        packets = list(map(self.lane_packet, lanes.tolist()))
+        packets = list(map(self.burst.__getitem__, lanes.tolist()))
         for key, mask in self.written.items():
             vals = self.cols[key][lanes].tolist()
             for packet, hit, val in zip(packets, mask[lanes].tolist(), vals):
@@ -231,7 +230,7 @@ class ColumnarBatch:
         return packets
 
     def ensure_packets(self) -> List[Packet]:
-        """Materialize every lane of a pool-backed batch (see
+        """Materialize every lane of a template-backed batch (see
         :meth:`materialize`).  After this the batch behaves like a
         packet-backed one."""
         if self.packets is None:
@@ -269,64 +268,6 @@ class ColumnarBatch:
         fields = self.packets[lane].fields
         for key, col in self.cols.items():
             col[lane] = fields.get(key, 0)
-
-
-class ColumnarPool:
-    """Template columns precomputed once, sliced into batches with no
-    per-packet work; a lane becomes a :class:`Packet` only when a
-    scalar phase or a delivery needs it."""
-
-    def __init__(self, templates: List[PacketTemplate]):
-        require_numpy()
-        self.templates = list(templates)
-        n = len(self.templates)
-        keys, headers = collect_template_columns(self.templates)
-        self.cols: Dict[str, "np.ndarray"] = {
-            key: np.fromiter(
-                (t.fields.get(key, 0) for t in self.templates),
-                np.int64, count=n,
-            )
-            for key in keys
-        }
-        self.valid: Dict[str, "np.ndarray"] = {
-            header: np.fromiter(
-                (header in t.valid_headers for t in self.templates),
-                bool, count=n,
-            )
-            for header in headers
-        }
-        self.sizes = np.fromiter(
-            (t.size_bytes for t in self.templates), np.int64, count=n
-        )
-
-    def __len__(self) -> int:
-        return len(self.templates)
-
-    def batch(self, start: int, stop: int) -> ColumnarBatch:
-        stop = min(stop, len(self.templates))
-        templates = self.templates
-        return ColumnarBatch(
-            stop - start,
-            self.sizes[start:stop],
-            lane_packet=lambda lane: Packet.from_template(
-                templates[start + lane]
-            ),
-            pool_cols=self.cols,
-            pool_valid=self.valid,
-            offset=start,
-        )
-
-
-class ColumnarResult:
-    """Outcome of :meth:`SwitchAsic.process_batch_columnar`: per-lane
-    egress ports (``-1`` = dropped) without materializing packets."""
-
-    __slots__ = ("ports", "delivered", "dropped")
-
-    def __init__(self, ports, delivered: int, dropped: int):
-        self.ports = ports
-        self.delivered = delivered
-        self.dropped = dropped
 
 
 # ---------------------------------------------------------------------------

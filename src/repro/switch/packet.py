@@ -8,12 +8,18 @@ This matches how the Mantis transformations interact with packets
 Intrinsic per-packet state (ingress port, egress spec, queue depths,
 timestamps, drop flag) lives in the ``standard_metadata`` instance,
 mirroring bmv2's v1model.
+
+A burst of same-shaped packets is a :class:`TemplateBurst`: one
+:class:`PacketTemplate` plus a lane count.  The columnar engine reads
+it as the template's values broadcast over the lanes and builds a
+lane's :class:`Packet` only when the lane recirculates, needs a scalar
+phase or leaves the switch.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 _packet_ids = itertools.count()
 
@@ -126,12 +132,9 @@ class PacketTemplate:
     Merging the standard_metadata zero map with the payload fields and
     deriving the valid-header set happens once here instead of once per
     packet, so a burst of same-shaped packets pays only
-    :meth:`Packet.from_template` (dict copy) each.  ``columns`` is the
-    columnar engine's cache of this template's lane columns (a
-    ``ColumnarPool``), built on the first :class:`TemplateBurst` it
-    runs."""
+    :meth:`Packet.from_template` (dict copy) each."""
 
-    __slots__ = ("fields", "valid_headers", "size_bytes", "columns")
+    __slots__ = ("fields", "valid_headers", "size_bytes")
 
     def __init__(
         self,
@@ -145,7 +148,6 @@ class PacketTemplate:
         self.fields = prototype.fields
         self.valid_headers = frozenset(prototype.valid_headers)
         self.size_bytes = size_bytes
-        self.columns = None
 
 
 class TemplateBurst:
@@ -157,7 +159,7 @@ class TemplateBurst:
     manager, a delivery event, the engine's final flush -- shares one
     packet.  Iteration builds every lane; the columnar engine instead
     reads the burst as template columns and builds only the lanes that
-    leave the switch."""
+    recirculate or leave the switch."""
 
     __slots__ = ("template", "n", "ingress_port", "_lanes")
 
@@ -181,19 +183,3 @@ class TemplateBurst:
 
     def __iter__(self):
         return map(self.__getitem__, range(self.n))
-
-
-def collect_template_columns(
-    templates: Sequence[PacketTemplate],
-) -> tuple:
-    """Column inventory for a set of templates: the union of field
-    keys and of valid headers.  The columnar pool materializes one
-    array per entry, so absent fields read as 0 and absent headers as
-    invalid -- the same defaults :meth:`Packet.get` and valid-matching
-    use."""
-    keys: Set[str] = set()
-    headers: Set[str] = set()
-    for template in templates:
-        keys.update(template.fields)
-        headers.update(template.valid_headers)
-    return keys, headers

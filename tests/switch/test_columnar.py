@@ -3,10 +3,13 @@
 ``ColumnarPipeline`` executes bursts as numpy array sweeps; these
 tests require the result to be bit-identical to the scalar engines --
 egress sequences, field maps, registers, counters, table statistics,
-and port counters -- across the full use-case corpus, the pool-backed
-``process_batch_columnar`` entry, forced fallbacks (recirculation,
-RNG, overlapping register footprints), randomized mixed bursts, and
-the batch-stats accounting invariant on error paths (satellite 6).
+and port counters -- across the full use-case corpus, the
+``process_batch_columnar`` entry over template bursts, forced
+fallbacks (RNG, overlapping register footprints), randomized mixed
+bursts, recirculating lanes finishing through the one scalar pass
+routine (pass counts on error paths included, and a randomized
+differential against per-packet ``process``), and the batch-stats
+accounting invariant on error paths.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from test_batch import (  # noqa: E402  (corpus helpers)
 
 from repro.errors import SwitchError
 from repro.switch import columnar
-from repro.switch.asic import STANDARD_METADATA_P4
-from repro.switch.columnar import ColumnarPipeline, ColumnarPool
+from repro.switch.asic import MAX_RECIRCULATIONS, STANDARD_METADATA_P4
+from repro.switch.columnar import ColumnarBatch, ColumnarPipeline
 from repro.switch.compiled import asic_state_snapshot
-from repro.switch.packet import Packet, PacketTemplate
+from repro.switch.packet import Packet, PacketTemplate, TemplateBurst
 from repro.system import MantisSystem
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -118,42 +121,38 @@ class TestColumnarEquivalence:
         assert stats.packets == stats.fused + stats.slow_path
 
 
-class TestColumnarPoolPath:
-    """process_batch_columnar over a ColumnarPool: no Packet
-    materialization, same observable switch state."""
+class TestColumnarEntry:
+    """process_batch_columnar over template-backed batches agrees with
+    packet-list bursts through the compiled engine."""
 
-    def test_pool_matches_packet_batches(self):
-        workload = APPS["dos"][2](128)
+    def test_template_bursts_match_packet_batches(self):
+        # Each workload packet becomes a burst of three same lanes.
+        workload = [
+            fields for fields in APPS["dos"][2](48) for _ in range(3)
+        ]
         compiled = _build("dos", "compiled")
-        compiled_obs = _run_batch_nosink(compiled, workload, batch_size=32)
+        compiled_obs = _run_batch_nosink(compiled, workload, batch_size=3)
         col = _build("dos", "columnar")
-        templates = [
-            PacketTemplate(fields, size_bytes=1000) for fields in workload
-        ]
-        pool = ColumnarPool(templates)
-        ports: List[int] = []
-        delivered = dropped = 0
-        for start in range(0, len(templates), 32):
-            result = col.asic.process_batch_columnar(
-                pool.batch(start, start + 32)
+        col_obs: List[object] = []
+        for start in range(0, len(workload), 3):
+            burst = TemplateBurst(
+                PacketTemplate(workload[start], size_bytes=1000), 3
             )
-            ports.extend(int(p) for p in result.ports)
-            delivered += result.delivered
-            dropped += result.dropped
-        expected_ports = [
-            -1 if obs is None else obs[0] for obs in compiled_obs
-        ]
-        assert ports == expected_ports
-        assert delivered == sum(1 for o in compiled_obs if o is not None)
-        assert dropped == sum(1 for o in compiled_obs if o is None)
+            col_obs.extend(
+                _observable(r) for r in col.asic.process_batch_columnar(
+                    ColumnarBatch.from_burst(burst)
+                )
+            )
+        assert col_obs == compiled_obs
         _assert_same_state(compiled, col)
 
-    def test_pool_entry_requires_columnar_plans(self):
+    def test_entry_requires_columnar_plans(self):
         compiled = _build("dos", "compiled")
-        templates = [PacketTemplate({"ipv4.srcAddr": 1})]
-        pool = ColumnarPool(templates)
+        burst = TemplateBurst(PacketTemplate({"ipv4.srcAddr": 1}), 1)
         with pytest.raises(SwitchError):
-            compiled.asic.process_batch_columnar(pool.batch(0, 1))
+            compiled.asic.process_batch_columnar(
+                ColumnarBatch.from_burst(burst)
+            )
 
 
 RNG_P4R = STANDARD_METADATA_P4 + """
@@ -533,8 +532,9 @@ def _bounce_build(mode: str, bounce_until: int = 2):
 
 
 class TestColumnarRecirculation:
-    """Tentpole: recirculate-flagged lanes re-run as a compacted
-    sub-batch instead of draining per lane."""
+    """A recirculation-only program keeps its columnar plan; lanes the
+    vectorized tail leaves flagged finish through the scalar pass
+    routine in lane order."""
 
     def _workload(self, n: int):
         return [{"hdr.hops": i % 2, "ipv4.srcAddr": i} for i in range(n)]
@@ -549,9 +549,8 @@ class TestColumnarRecirculation:
         col_obs = _run_batch_nosink(col, workload, batch_size)
         assert col_obs == compiled_obs
         _assert_same_state(compiled, col)
-        # Columnar recirculation never takes the per-lane drain, so no
-        # "recirc" fallback is recorded.
-        assert not col.asic.executor.fallback_counts
+        # hops 0 and 1 both bounce: every lane recirculates.
+        assert col.asic.executor.fallback_counts == {"recirc": 48}
         stats = col.asic.batch_stats
         ref = compiled.asic.batch_stats
         assert stats.packets == stats.fused + stats.slow_path
@@ -592,6 +591,166 @@ class TestColumnarRecirculation:
                 _run_batch_nosink(system, workload, batch_size=12)
             stats = system.asic.batch_stats
             assert stats.packets == stats.fused + stats.slow_path
+
+
+ENGINES = ("interpreter", "compiled", "columnar")
+
+
+def _ignore(index, result) -> None:
+    pass
+
+
+class TestRecirculationErrorPassCount:
+    """A lane that fails on its second pass has started two pipeline
+    passes, whichever entry ran it: ``hops=0`` bounces, ``hops=1``
+    flings to an out-of-range ``egress_spec``."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["process", "process_batch", "process_batch+sink", "template_burst"],
+    )
+    @pytest.mark.parametrize("mode", ENGINES)
+    def test_error_on_second_pass_counts_two(self, mode: str, entry: str):
+        system = _bounce_build(mode, bounce_until=1)
+        system.driver.add_entry("hopper", [1], "fling", [])
+        asic = system.asic
+        fields = {"hdr.hops": 0}
+        with pytest.raises(SwitchError, match="egress_spec"):
+            if entry == "process":
+                asic.process(Packet(fields))
+            elif entry == "template_burst":
+                asic.process_batch(TemplateBurst(PacketTemplate(fields), 1))
+            elif entry == "process_batch":
+                asic.process_batch([Packet(fields)])
+            else:
+                asic.process_batch([Packet(fields)], sink=_ignore)
+        assert asic.pipeline_passes == 2
+
+
+# Hops values of the optional fling chain: above every mix lane (0..7,
+# bouncing at most up to 6), so only the spliced lane reaches them.
+FLING_BASE = 10
+
+
+def _differential_system(mode: str, bounce_until: int, fling):
+    system = _bounce_build(mode, bounce_until)
+    if fling is not None:
+        chain, _position = fling
+        for hops in range(FLING_BASE, FLING_BASE + chain):
+            system.driver.add_entry("hopper", [hops], "bounce", [])
+        system.driver.add_entry("hopper", [FLING_BASE + chain], "fling", [])
+    return system
+
+
+def _homogeneous_runs(chunk):
+    """A chunk of hops values as maximal runs of one value."""
+    runs = []
+    for hops in chunk:
+        if runs and runs[-1][0] == hops:
+            runs[-1][1] += 1
+        else:
+            runs.append([hops, 1])
+    return runs
+
+
+class TestRecirculationDifferential:
+    """Hypothesis: the bounce program through per-packet ``process``,
+    packet-list bursts and template bursts, with and without a sink,
+    on every engine.  Budgets run past ``MAX_RECIRCULATIONS``, and an
+    optional lane spliced in as its own burst fails on a random
+    recirculation pass; every run stops at its first error."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        bounce_until=st.integers(min_value=0, max_value=6),
+        hops=st.lists(
+            st.integers(min_value=0, max_value=7), min_size=1, max_size=48
+        ),
+        split=st.integers(min_value=1, max_value=32),
+        fling=st.one_of(
+            st.none(),
+            st.tuples(
+                # Bounces before the fling; MAX_RECIRCULATIONS + 1
+                # spends the budget first and delivers instead.
+                st.integers(min_value=1, max_value=MAX_RECIRCULATIONS + 1),
+                st.integers(min_value=0, max_value=64),  # splice point
+            ),
+        ),
+    )
+    def test_every_entry_matches_process(
+        self, bounce_until, hops, split, fling
+    ):
+        chunks = [hops[i:i + split] for i in range(0, len(hops), split)]
+        if fling is not None:
+            chunks.insert(fling[1] % (len(chunks) + 1), [FLING_BASE])
+        observed = {}
+        for mode in ENGINES:
+            for variant in ("process", "list", "list+sink", "template",
+                            "template+sink"):
+                system = _differential_system(mode, bounce_until, fling)
+                results, error = self._drive(system, variant, chunks)
+                observed[mode, variant] = (
+                    results, asic_state_snapshot(system.asic), error
+                )
+                if variant == "process":
+                    continue
+                stats = system.asic.batch_stats
+                assert stats.packets == stats.fused + stats.slow_path
+                if mode == "columnar":
+                    allowed = {"recirc"}
+                    if variant.endswith("sink"):
+                        allowed.add("tail:sink")
+                    counts = system.asic.executor.fallback_counts
+                    assert set(counts) <= allowed, counts
+        reference = observed["interpreter", "process"]
+        for key, got in observed.items():
+            assert got == reference, key
+
+    @staticmethod
+    def _drive(system, variant: str, chunks):
+        """Observables of every lane before the first error, and that
+        error's type (``None`` if the input ran through).  A sink must
+        see exactly what its burst returns."""
+        asic = system.asic
+        results: List[object] = []
+        sunk: List[object] = []
+
+        def sink(index, result) -> None:
+            sunk.append(_observable(result))
+
+        def run_burst(burst) -> None:
+            with_sink = variant.endswith("sink")
+            returned = [
+                _observable(result) for result in asic.process_batch(
+                    burst, sink=sink if with_sink else None
+                )
+            ]
+            if with_sink:
+                assert sunk == returned
+                sunk.clear()
+            results.extend(returned)
+
+        try:
+            for chunk in chunks:
+                if variant == "process":
+                    for hops in chunk:
+                        results.append(_observable(asic.process(
+                            Packet({"hdr.hops": hops}, size_bytes=1000)
+                        )))
+                elif variant.startswith("list"):
+                    run_burst([
+                        Packet({"hdr.hops": hops}, size_bytes=1000)
+                        for hops in chunk
+                    ])
+                else:
+                    for hops, n in _homogeneous_runs(chunk):
+                        template = PacketTemplate(
+                            {"hdr.hops": hops}, size_bytes=1000
+                        )
+                        run_burst(TemplateBurst(template, n))
+        except SwitchError as error:
+            return results, type(error)
+        return results, None
 
 
 OOR_SPEC_P4R = STANDARD_METADATA_P4 + """
