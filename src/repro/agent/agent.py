@@ -33,7 +33,6 @@ from device state so the dialogue resumes without reinstalling.
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 from dataclasses import dataclass, field as dataclass_field
@@ -311,7 +310,6 @@ class MantisAgent:
         reaction_engine: Optional[str] = None,
         commit_mode: str = "diff",
         delta_polling: bool = False,
-        commit_pipelining: bool = False,
     ):
         self.spec: ControlPlaneSpec = artifacts.spec
         self.artifacts = artifacts
@@ -321,12 +319,6 @@ class MantisAgent:
         self.verify_commits = verify_commits
         self.commit_retry_limit = commit_retry_limit
         self.poll_batching = poll_batching
-        # With a service-backed SessionDriver, overlap the commit's
-        # prepare-phase shadow writes on the pipelined channel (the vv
-        # flip stays a blocking barrier, so ordering and resumability
-        # are unchanged).  No-op on a plain synchronous driver or under
-        # ``verify_commits`` (read-backs need blocking ops).
-        self.commit_pipelining = commit_pipelining
         if reaction_engine is None:
             reaction_engine = os.environ.get(REACTION_ENGINE_ENV, "compiled")
         if reaction_engine not in REACTION_ENGINES:
@@ -1046,16 +1038,6 @@ class MantisAgent:
                     "did not land (dropped?)"
                 )
 
-    def _pipeline_scope(self):
-        """The prepare phase's write context: the session driver's
-        pipelined scope when commit pipelining is on and usable,
-        otherwise a null context."""
-        if self.commit_pipelining and not self.verify_commits:
-            session = getattr(self.driver, "session", None)
-            if session is not None and session.service.scheduler is not None:
-                return self.driver.pipeline()
-        return contextlib.nullcontext(self.driver)
-
     def _commit(self) -> None:
         """Prepare (non-master inits) + vv flip (commit) + mirror.
 
@@ -1071,24 +1053,16 @@ class MantisAgent:
         # Prepare: one shadow-entry write per dirty non-master init
         # ("full" commit mode rewrites every shadow unconditionally --
         # the paper-naive baseline the dirty diff is measured against).
-        # The prepare writes are order-free (distinct tables) and only
-        # cleared after the flip below, so pipelining them is safe: a
-        # failure surfaces at the drain barrier, before the flip, with
-        # all staged state intact for the retry.
         commit_all = self.commit_mode == "full"
         writing = [
             shadow for shadow in self._init_shadows.values()
             if shadow.dirty or commit_all
         ] if self._init_shadows else ()
-        # An empty prepare needs no scope -- except the pipelined one,
-        # whose exit is a drain barrier whether or not it wrote.
-        if writing or self.commit_pipelining:
-            with self._pipeline_scope():
-                for shadow in writing:
-                    new_args = list(shadow.args)
-                    for position, value in shadow.staged.items():
-                        new_args[position] = value
-                    self._write_init_shadow(shadow, self.vv ^ 1, new_args)
+        for shadow in writing:
+            new_args = list(shadow.args)
+            for position, value in shadow.staged.items():
+                new_args[position] = value
+            self._write_init_shadow(shadow, self.vv ^ 1, new_args)
         old_vv = self.vv
         self._write_master(vv=self.vv ^ 1, fold_staged=True)
         # The flip landed: the commit is now irrevocable.

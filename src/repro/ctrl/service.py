@@ -672,13 +672,11 @@ class SessionDriver:
     channel scheduling (blocking path); attribute reads and writes
     fall through to the real driver, so agent code that pokes
     ``driver.memoization_enabled`` or reads ``driver.errors_total``
-    keeps working unchanged.  Inside a :meth:`pipeline` context,
-    fire-and-forget writes (modify / set_default / register write) are
-    submitted asynchronously and the context exit drains them.
+    keeps working unchanged.  Asynchronous writes go through the
+    session's ``submit_*`` methods instead.
     """
 
-    _LOCAL = ("_driver", "_session", "_batch_scope", "_pipelining",
-              "_pipeline_tickets")
+    _LOCAL = ("_driver", "_session", "_batch_scope")
 
     def __init__(self, driver: Driver, session: CtrlSession):
         object.__setattr__(self, "_driver", driver)
@@ -686,8 +684,6 @@ class SessionDriver:
         object.__setattr__(
             self, "_batch_scope", BatchScope(session.batch_state, self)
         )
-        object.__setattr__(self, "_pipelining", False)
-        object.__setattr__(self, "_pipeline_tickets", [])
 
     def __getattr__(self, name):
         return getattr(self._driver, name)
@@ -702,7 +698,7 @@ class SessionDriver:
     def session(self) -> CtrlSession:
         return self._session
 
-    # ---- batching / pipelining --------------------------------------------
+    # ---- batching ----------------------------------------------------------
 
     def batch(self) -> BatchScope:
         """Session-scoped request batching: one PCIe round trip shared
@@ -710,20 +706,10 @@ class SessionDriver:
         sessions."""
         return self._batch_scope
 
-    def pipeline(self) -> "_PipelineContext":
-        """Within this context, write ops are pipelined; exiting
-        drains the session and raises the first terminal error."""
-        return _PipelineContext(self)
-
-    def _sync_point(self) -> None:
-        if self._pipelining:
-            self._session.drain()
-
     # ---- ops ---------------------------------------------------------------
 
     def add_entry(self, table, key, action, args=(), priority=0,
                   memo=None, channel=None):
-        self._sync_point()
         return self._driver.add_entry(
             table, key, action, args, priority, memo=memo,
             channel=channel or self._session.channel,
@@ -732,11 +718,6 @@ class SessionDriver:
 
     def modify_entry(self, table, entry_id, action=None, args=None,
                      memo=None, channel=None):
-        if self._pipelining:
-            self._pipeline_tickets.append(self._session.submit_modify(
-                table, entry_id, action, args, memo=memo
-            ))
-            return None
         return self._driver.modify_entry(
             table, entry_id, action, args, memo=memo,
             channel=channel or self._session.channel,
@@ -744,7 +725,6 @@ class SessionDriver:
         )
 
     def delete_entry(self, table, entry_id, memo=None, channel=None):
-        self._sync_point()
         return self._driver.delete_entry(
             table, entry_id, memo=memo,
             channel=channel or self._session.channel,
@@ -752,11 +732,6 @@ class SessionDriver:
         )
 
     def set_default(self, table, action, args=(), memo=None, channel=None):
-        if self._pipelining:
-            self._pipeline_tickets.append(self._session.submit_set_default(
-                table, action, args, memo=memo
-            ))
-            return None
         return self._driver.set_default(
             table, action, args, memo=memo,
             channel=channel or self._session.channel,
@@ -764,14 +739,12 @@ class SessionDriver:
         )
 
     def read_entries(self, table, memo=None, channel=None):
-        self._sync_point()
         return self._driver.read_entries(
             table, memo=memo, channel=channel or self._session.channel,
             session=self._session,
         )
 
     def read_entry(self, table, entry_id, memo=None, channel=None):
-        self._sync_point()
         return self._driver.read_entry(
             table, entry_id, memo=memo,
             channel=channel or self._session.channel,
@@ -779,14 +752,12 @@ class SessionDriver:
         )
 
     def read_default(self, table, memo=None, channel=None):
-        self._sync_point()
         return self._driver.read_default(
             table, memo=memo, channel=channel or self._session.channel,
             session=self._session,
         )
 
     def read_registers(self, name, lo=0, hi=None, memo=None, channel=None):
-        self._sync_point()
         return self._driver.read_registers(
             name, lo, hi, memo=memo,
             channel=channel or self._session.channel,
@@ -794,13 +765,6 @@ class SessionDriver:
         )
 
     def write_register(self, name, index, value, memo=None, channel=None):
-        if self._pipelining:
-            self._pipeline_tickets.append(
-                self._session.submit_write_register(
-                    name, index, value, memo=memo
-                )
-            )
-            return None
         return self._driver.write_register(
             name, index, value, memo=memo,
             channel=channel or self._session.channel,
@@ -808,7 +772,6 @@ class SessionDriver:
         )
 
     def read_counter(self, name, index, memo=None, channel=None):
-        self._sync_point()
         return self._driver.read_counter(
             name, index, memo=memo,
             channel=channel or self._session.channel,
@@ -816,31 +779,7 @@ class SessionDriver:
         )
 
     def write_batch(self, ops, channel=None):
-        self._sync_point()
         return self._driver.write_batch(
             ops, channel=channel or self._session.channel,
             session=self._session,
         )
-
-
-class _PipelineContext:
-    """Pipelined-writes scope with a drain barrier on exit."""
-
-    def __init__(self, proxy: SessionDriver):
-        self.proxy = proxy
-
-    def __enter__(self) -> SessionDriver:
-        object.__setattr__(self.proxy, "_pipelining", True)
-        object.__setattr__(self.proxy, "_pipeline_tickets", [])
-        return self.proxy
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        object.__setattr__(self.proxy, "_pipelining", False)
-        tickets = self.proxy._pipeline_tickets
-        object.__setattr__(self.proxy, "_pipeline_tickets", [])
-        if exc_type is not None:
-            return
-        self.proxy._session.drain()
-        for ticket in tickets:
-            if ticket.error is not None:
-                raise ticket.error

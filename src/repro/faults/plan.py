@@ -144,14 +144,6 @@ class FaultPlan:
             if spec.is_link_fault
         ]
 
-    def driver_specs(self) -> List[Tuple[int, FaultSpec]]:
-        """``(spec_index, spec)`` pairs of the driver-fault specs."""
-        return [
-            (index, spec)
-            for index, spec in enumerate(self.specs)
-            if not spec.is_link_fault
-        ]
-
 
 @dataclass
 class FaultEvent:

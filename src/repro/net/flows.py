@@ -15,7 +15,6 @@ normalized to the requested totals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -54,11 +53,6 @@ class Trace:
         for src, size in zip(self.src_ips.tolist(), self.sizes.tolist()):
             totals[src] = totals.get(src, 0) + size
         return totals
-
-    def iter_packets(self) -> Iterator[Tuple[float, int, int]]:
-        yield from zip(
-            self.times_us.tolist(), self.src_ips.tolist(), self.sizes.tolist()
-        )
 
 
 def synthetic_trace(config: TraceConfig = None) -> Trace:

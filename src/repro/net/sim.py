@@ -35,7 +35,7 @@ never blocks on the CPU).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.net.fabric import (
@@ -99,10 +99,6 @@ class NetworkSim:
         self.switches: Dict[str, FabricSwitch] = {}
         self._switch_order: List[FabricSwitch] = []
         self.links: List[Link] = []
-        # (switch name, port) -> Link: O(1) endpoint lookup for
-        # routing installers and utilization reports, independent of
-        # how many cables the fabric carries.
-        self._link_index: Dict[Tuple[str, int], Link] = {}
         if system is not None:
             self.add_switch(system, name="s0", default_port=default_port)
 
@@ -175,16 +171,7 @@ class NetworkSim:
         a._add_peer(port_a, b, port_b, link)
         b._add_peer(port_b, a, port_a, link)
         self.links.append(link)
-        self._link_index[(a.name, port_a)] = link
-        self._link_index[(b.name, port_b)] = link
         return link
-
-    def link_at(
-        self, switch: Union[str, FabricSwitch], port: int
-    ) -> Optional[Link]:
-        """The cable plugged into ``(switch, port)``, if any --
-        indexed, O(1)."""
-        return self._link_index.get((self._resolve(switch).name, port))
 
     def set_link_state(self, link: Link, up: bool) -> None:
         """Kill or revive a whole cable (both directions)."""

@@ -92,10 +92,6 @@ class TcpFlow(Host):
         self._running = False
 
     @property
-    def goodput_packets(self) -> int:
-        return self.acked
-
-    @property
     def transfers_completed(self) -> int:
         return len(self.fct_samples)
 

@@ -385,14 +385,6 @@ class Program:
             return False
         return self.instance_type(ref.header).has_field(ref.field)
 
-    def tables_applying_action(self, action_name: str) -> List[TableDecl]:
-        return [t for t in self.tables.values() if action_name in t.action_names]
-
-    def controls_applying_table(self, table_name: str) -> List[ControlDecl]:
-        return [
-            c for c in self.controls.values() if table_name in c.applied_tables()
-        ]
-
     def clone(self) -> "Program":
         """Deep copy, used by the compiler so source programs survive."""
         return copy.deepcopy(self)

@@ -12,10 +12,6 @@ from typing import List
 from repro.p4 import ast
 
 
-def _render_ref(ref) -> str:
-    return str(ref)
-
-
 def _render_read(read: ast.TableRead) -> str:
     if read.match_type is ast.MatchType.VALID:
         return f"        valid({read.ref.header}) : exact;"

@@ -7,8 +7,6 @@ failures inside the switch emulator.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.errors import P4SemanticError
 from repro.p4 import ast
 
@@ -159,10 +157,3 @@ def _check_condition(program, expr, allow_malleables, where) -> None:
     elif isinstance(expr, (ast.FieldRef, ast.MalleableRef, ast.ValidRef)):
         _check_ref(program, expr, allow_malleables, where)
 
-
-def tables_in_apply_order(program: ast.Program, control_name: str) -> List[str]:
-    """The tables a control applies, in program order (helper used by
-    the resource-accounting pass and the pipeline builder)."""
-    if control_name not in program.controls:
-        raise P4SemanticError(f"unknown control {control_name!r}")
-    return program.controls[control_name].applied_tables()

@@ -16,45 +16,38 @@ every lane before table k+1 sees any:
   and resolves entries via equality scans (few entries) or
   ``np.searchsorted`` against a sorted key index cached per
   :attr:`TableRuntime.generation`;
-- action bodies lower to vectorized programs: field stores become
-  masked column assignments, constant-index register read-modify-write
-  chains become prefix sums (each lane observes the running value the
-  scalar engine would have produced), dynamic-index register RMW
-  becomes a *segmented* prefix sum grouped by index
-  (:class:`_DynState`), write-only dynamic stores become last-wins
-  scatters, counters become ``np.bincount``, and
-  ``field_list_calculation`` hashes become table-driven byte-at-a-time
-  CRC sweeps (:func:`repro.switch.hashing.vector_hash_fn`);
-- control-level single-``if``/``else`` blocks lower to masked selects:
-  the condition is evaluated vectorially over the live lanes and each
-  arm's table sweeps run restricted to its lane subset
-  (:class:`_CondSweep`);
+- action bodies lower to vectorized programs over a deliberately
+  small atom set -- the one burst traffic runs: field stores become
+  masked column assignments, arithmetic and bitwise primitives become
+  column ops, constant-index register read-modify-write chains become
+  prefix sums (each lane observes the running value the scalar engine
+  would have produced), and write-only dynamic-index register stores
+  become last-wins scatters;
 - every program splits into a pure *prepare* phase (gathers, range
   validation -- may raise :class:`_Unvectorizable`) and a *commit*
   phase, so a lowering that proves unsound at run time downgrades the
   whole table to the generated per-table apply, lane by lane, with no
   partial effects.
 
-Lanes or whole tables that hit non-vectorizable features (RNG,
-cross-register affine flows, int64 headroom) run through the compiled
-engine's generated code one lane at a time, in lane order, so the
-engine is always semantically total; the fallback counters in
-:attr:`ColumnarPipeline.fallback_counts` say how often and why.
+Everything outside that atom set -- dynamic-index register reads,
+counters, hashes, RNG, cross-register affine flows, int64 headroom --
+runs through the compiled engine's generated code one lane at a time,
+in lane order, so the engine is always semantically total; the
+fallback counters in :attr:`ColumnarPipeline.fallback_counts` say how
+often and why.
 
 Admission (:meth:`ColumnarPipeline._plan`) is the data plane's one
 footprint rule.  Sweeping table k over every lane before table k+1
 sees any is sound exactly when every reachable table is exact-match
 and no two of them share cross-packet state (registers, counters, the
 RNG), with egress folded in as one combined footprint and
-recirculation only ever alone.  Bodies with a single level of
-control-flow ``if`` pass the same rule over every reachable arm, which
-is sound because each lane executes exactly one arm and the condition
-is a pure function of that lane's fields.  A program the rule rejects
-runs its bursts through the generated controls lane by lane.  A lane
-that recirculates is not swept again: after its first pass it
-finishes through the ASIC's one scalar pass routine
-(``SwitchAsic._run_passes``), counted under the ``recirc`` fallback
-reason.
+recirculation only ever alone.  A control body must be a flat list of
+table applications: a control-level ``if`` rejects the program.  A
+program the rule rejects runs its bursts through the generated
+controls lane by lane.  A lane that recirculates is not swept again:
+after its first pass it finishes through the ASIC's one scalar pass
+routine (``SwitchAsic._run_passes``), counted under the ``recirc``
+fallback reason.
 """
 
 from __future__ import annotations
@@ -69,7 +62,6 @@ except ImportError:  # pragma: no cover
 from repro.errors import SwitchError
 from repro.p4 import ast
 from repro.switch.compiled import CompiledPipeline, _FLAG_KEYS, _tables_in
-from repro.switch.hashing import vector_hash_fn
 from repro.switch.packet import Packet, TemplateBurst
 
 HAVE_NUMPY = np is not None
@@ -276,16 +268,14 @@ class ColumnarBatch:
 
 class _Val:
     """An abstract value: a constant, a lane vector (``fn(ctx)`` ->
-    ndarray), an affine read of a constant register cell (``X[cell] +
-    delta``, coefficient exactly 1), or an affine read of a
-    dynamically indexed register slot (kind ``'g'``: ``cell`` is the
-    :class:`_DynState` and the base is its per-lane observed value)."""
+    ndarray), or an affine read of a constant register cell
+    (``X[cell] + delta``, coefficient exactly 1)."""
 
     __slots__ = ("kind", "const", "fn", "cell", "delta", "bits")
 
     def __init__(self, kind, const=0, fn=None, cell=None, delta=None,
                  bits=1):
-        self.kind = kind  # 'c' | 'v' | 'a' | 'g'
+        self.kind = kind  # 'c' | 'v' | 'a'
         self.const = const
         self.fn = fn
         self.cell = cell
@@ -308,41 +298,29 @@ def _resolve(val: _Val, ctx):
         return val.const
     if val.kind == "v":
         return val.fn(ctx)
-    if val.kind == "g":
-        return val.cell.observed(ctx) + _resolve(val.delta, ctx)
     return ctx["X"][val.cell] + _resolve(val.delta, ctx)
 
 
 def _vadd(a: _Val, b: _Val, sign: int = 1) -> _Val:
     """``a + sign*b`` with affine propagation: affine + concrete stays
     affine on the same cell; anything that would scale or mix cells
-    bails.  A *subtracted* gather (``a - g``) has no affine structure
-    to preserve, so it materializes through the generic resolver --
-    sound as long as the gather's observed values are reduced, which
-    :meth:`_VecActionCompiler.compile` checks once the state's final
-    mode is known (the ``escaped`` flag)."""
-    if a.kind in ("a", "g") and b.kind in ("a", "g"):
+    bails."""
+    if a.kind == "a" and b.kind == "a":
         raise _GiveUp("affine x affine")
     if b.kind == "a":
         if sign < 0:
             raise _GiveUp("negated affine")
         a, b = b, a
-    elif b.kind == "g":
-        if sign < 0:
-            b.cell.escaped = True
-        else:
-            a, b = b, a
-    if a.kind in ("a", "g"):
+    if a.kind == "a":
         return _Val(
-            a.kind, cell=a.cell, delta=_vadd(a.delta, b, sign),
+            "a", cell=a.cell, delta=_vadd(a.delta, b, sign),
             bits=min(_MAX_BITS, max(a.bits, b.bits) + 1),
         )
     bits = max(a.bits, b.bits) + 1
     if a.kind == "c" and b.kind == "c":
         return _vc(a.const + sign * b.const)
-    fa, fb = a, b
 
-    def fn(ctx, _a=fa, _b=fb, _s=sign):
+    def fn(ctx, _a=a, _b=b, _s=sign):
         return _resolve(_a, ctx) + _s * _resolve(_b, ctx)
 
     return _vv(fn, bits)
@@ -366,13 +344,6 @@ def _vbin(op: str, a: _Val, b: _Val) -> _Val:
         return _vadd(a, b, -1)
     if a.kind == "a" or b.kind == "a":
         raise _GiveUp("affine operand in non-additive op")
-    # Gathers may flow through non-additive ops via the generic
-    # resolver; the compile-end ``escaped`` check rejects the program
-    # if the state later turns into an (unreduced) RMW accumulator.
-    if a.kind == "g":
-        a.cell.escaped = True
-    if b.kind == "g":
-        b.cell.escaped = True
     sym, py = _NP_BIN[op]
     if op == "shift_left":
         if b.kind != "c" or b.const < 0:
@@ -416,11 +387,6 @@ def _vbin(op: str, a: _Val, b: _Val) -> _Val:
 def _vmask(val: _Val, mask: int) -> _Val:
     if val.kind == "a":
         raise _GiveUp("masking an affine value")
-    if val.kind == "g":
-        # Masking collapses the gather-affine structure; the
-        # compile-end ``escaped`` check ensures the observed values
-        # are reduced (no RMW accumulation on this state).
-        val.cell.escaped = True
     if val.kind == "c":
         return _vc(val.const & mask)
     # The masked result is in [0, mask] regardless of the (possibly
@@ -458,183 +424,6 @@ class _CellState:
         )
 
 
-_IN_PROGRESS = object()
-
-
-class _DynState:
-    """One register gathered at a per-lane dynamic index, possibly
-    read-modify-written or overwritten at that same index.
-
-    The lane-dimension analogue of :class:`_CellState`: each lane must
-    observe the value the scalar engine would have left after all
-    *earlier lanes touching the same slot*, which is a segmented
-    prefix (stable-sorted by index) instead of a whole-column one.
-    Three modes: ``None`` is a pure gather (observed = snapshot),
-    ``'a'`` accumulates a delta per lane (ECMP egress counting, sketch
-    updates, heartbeat counters), ``'o'`` overwrites the slot with an
-    independent value per lane (LinkGuardian's last-seen sequence
-    tracking) -- each lane observes the previous same-slot lane's
-    masked write."""
-
-    __slots__ = ("register", "idx_val", "mode", "delta", "over",
-                 "has_reads", "escaped")
-
-    def __init__(self, register, idx_val: _Val):
-        self.register = register
-        self.idx_val = idx_val
-        self.mode = None  # None | 'a' (slot + delta) | 'o' (overwritten)
-        self.delta: _Val = _vc(0)
-        self.over: Optional[_Val] = None
-        self.has_reads = False
-        self.escaped = False
-
-    # ---- compile time ----------------------------------------------------
-
-    def read(self) -> _Val:
-        if self.mode == "o":
-            # Reads after an overwrite see the lane's own (masked)
-            # stored value, exactly like the scalar register file.
-            return _vmask(self.over, self.register.mask)
-        self.has_reads = True
-        return _Val(
-            "g", cell=self, delta=self.delta,
-            bits=min(_MAX_BITS, self.register.width + 14),
-        )
-
-    def write(self, value: _Val) -> None:
-        if value.kind == "g" and value.cell is self:
-            if self.mode == "o":
-                raise _GiveUp("rmw after overwrite")
-            if self.register.width > 48:
-                # Same headroom rule as constant cells: prefix sums
-                # stack unreduced deltas on the raw slot value.
-                raise _GiveUp("wide register cell")
-            self.mode = "a"
-            self.delta = value.delta
-            return
-        if value.kind in ("a", "g"):
-            raise _GiveUp("cross-cell affine write")
-        if self.mode == "a":
-            raise _GiveUp("overwrite after rmw")
-        self.mode = "o"
-        self.over = value
-
-    # ---- resolution (prepare phase) --------------------------------------
-
-    def indices(self, ctx):
-        memo = ctx["dmemo"]
-        key = (id(self), "idx")
-        hit = memo.get(key)
-        if hit is None:
-            indices = _resolve(self.idx_val, ctx)
-            if not isinstance(indices, np.ndarray):
-                indices = np.full(ctx["n"], indices, np.int64)
-            size = len(self.register.values)
-            if ((indices < 0) | (indices >= size)).any():
-                bad = int(indices[(indices < 0) | (indices >= size)][0])
-                raise _Unvectorizable(
-                    f"register {self.register.name}: index {bad} "
-                    "out of range"
-                )
-            hit = memo[key] = indices
-        return hit
-
-    def _sorted(self, ctx):
-        memo = ctx["dmemo"]
-        key = (id(self), "sort")
-        hit = memo.get(key)
-        if hit is None:
-            indices = self.indices(ctx)
-            n = ctx["n"]
-            order = np.argsort(indices, kind="stable")
-            sidx = indices[order]
-            starts = np.empty(n, bool)
-            starts[0] = True
-            starts[1:] = sidx[1:] != sidx[:-1]
-            hit = memo[key] = (order, sidx, starts)
-        return hit
-
-    def observed(self, ctx):
-        """Per-lane value a scalar read would have returned, in lane
-        order.  Memoized per prepare; the in-progress sentinel catches
-        an overwrite value that (transitively) depends on this state's
-        own observed values -- a cross-lane recurrence no closed form
-        covers, so the table falls back to the scalar sweep."""
-        memo = ctx["dmemo"]
-        key = (id(self), "obs")
-        hit = memo.get(key)
-        if hit is _IN_PROGRESS:
-            raise _Unvectorizable(
-                f"register {self.register.name}: self-referential "
-                "overwrite"
-            )
-        if hit is not None:
-            return hit
-        memo[key] = _IN_PROGRESS
-        value = self._observed(ctx)
-        memo[key] = value
-        return value
-
-    def _observed(self, ctx):
-        register = self.register
-        snap = np.array(register.values, np.int64)
-        indices = self.indices(ctx)
-        n = ctx["n"]
-        if self.mode is None or n <= 1:
-            return snap[indices]
-        order, sidx, starts = self._sorted(ctx)
-        if self.mode == "o":
-            over = _resolve(self.over, ctx)
-            if not isinstance(over, np.ndarray):
-                over = np.full(n, over, np.int64)
-            prev = np.empty(n, np.int64)
-            prev[0] = 0
-            prev[1:] = over[order][:-1]
-            obs_sorted = np.where(
-                starts, snap[sidx], prev & register.mask
-            )
-        else:  # 'a': segmented exclusive prefix of the deltas
-            delta = _resolve(self.delta, ctx)
-            if not isinstance(delta, np.ndarray):
-                delta = np.full(n, delta, np.int64)
-            sd = delta[order]
-            cs = np.cumsum(sd)
-            excl = cs - sd
-            group_start = np.maximum.accumulate(
-                np.where(starts, np.arange(n), 0)
-            )
-            obs_sorted = snap[sidx] + (excl - excl[group_start])
-        out = np.empty(n, np.int64)
-        out[order] = obs_sorted
-        return out
-
-    def commit_plan(self, ctx):
-        """``(slots, values, is_add)`` for the final register update:
-        per-slot delta totals for RMW states (segmented sums), the
-        last lane's value per slot for overwrites."""
-        n = ctx["n"]
-        order, sidx, starts = self._sorted(ctx)
-        ends = np.empty(n, bool)
-        ends[-1] = True
-        ends[:-1] = starts[1:]
-        if self.mode == "o":
-            over = _resolve(self.over, ctx)
-            if not isinstance(over, np.ndarray):
-                values = np.full(int(ends.sum()), int(over), np.int64)
-            else:
-                values = over[order][ends]
-            return sidx[ends].tolist(), values.tolist(), False
-        delta = _resolve(self.delta, ctx)
-        if not isinstance(delta, np.ndarray):
-            delta = np.full(n, delta, np.int64)
-        sd = delta[order]
-        cs = np.cumsum(sd)
-        excl = cs - sd
-        group_start = np.maximum.accumulate(np.where(starts, np.arange(n), 0))
-        totals = cs[ends] - excl[group_start[ends]]
-        return sidx[ends].tolist(), totals.tolist(), True
-
-
 # ---------------------------------------------------------------------------
 # Vectorized action programs
 
@@ -642,30 +431,21 @@ class _DynState:
 class _VecProgram:
     """A compiled, vectorized action body.
 
-    ``prepare(batch, idx, n, sizes)`` runs every gather, arithmetic
-    op, and range check without mutating anything (raising
+    ``prepare(batch, idx, n)`` runs every gather, arithmetic op, and
+    range check without mutating anything (raising
     :class:`_Unvectorizable` on failure) and returns a zero-argument
     commit closure that applies all effects."""
 
-    __slots__ = ("stores", "cells", "scatters", "counts", "dyns",
-                 "stateful")
+    __slots__ = ("stores", "cells", "scatters", "stateful")
 
-    def __init__(self, stores, cells, scatters, counts, dyns=()):
+    def __init__(self, stores, cells, scatters):
         self.stores = stores        # [(key, val, commit_mask)]
         self.cells = cells          # {(reg_name, idx): _CellState}
         self.scatters = scatters    # [(register, idx_val, value_val)]
-        self.counts = counts        # [(counter_array, idx_val|int, bytes?)]
-        self.dyns = list(dyns)      # [_DynState]
-        self.stateful = bool(
-            cells or scatters or counts
-            or any(state.mode is not None for state in self.dyns)
-        )
+        self.stateful = bool(cells or scatters)
 
-    def prepare(self, batch: ColumnarBatch, idx, n: int, sizes):
-        ctx = {
-            "batch": batch, "idx": idx, "n": n, "sizes": sizes,
-            "X": {}, "gmemo": {}, "dmemo": {},
-        }
+    def prepare(self, batch: ColumnarBatch, idx, n: int):
+        ctx = {"batch": batch, "idx": idx, "X": {}, "gmemo": {}}
         # Register cells: resolve deltas, derive each lane's observed
         # start value (exclusive prefix sum), and the final slot value.
         cell_commits = []
@@ -701,23 +481,9 @@ class _VecProgram:
             else:  # read-only cell: no commit
                 continue
             cell_commits.append((register, slot, final))
-        # Dynamic-index register states: range-check every gather
-        # (scalar reads validate even when the value goes unused) and
-        # derive segmented per-slot commit plans for the written ones.
-        dyn_commits = []
-        for state in self.dyns:
-            state.indices(ctx)
-            if state.mode is None:
-                continue
-            if state.mode == "a":
-                register = state.register
-                if (max(register.width,
-                        state.delta.bits + n.bit_length()) + 1
-                        > _MAX_BITS):
-                    raise _Unvectorizable("prefix-sum headroom")
-            dyn_commits.append((state.register, state.commit_plan(ctx)))
         # Scatters: validate indices, resolve values, keep the last
-        # write per slot (ascending lane order == scalar order).
+        # write per slot (ascending lane order == scalar order).  The
+        # index is a lane vector: a constant one lowers as a cell.
         scatter_commits = []
         for register, idx_val, value_val in self.scatters:
             indices = _resolve(idx_val, ctx)
@@ -740,36 +506,6 @@ class _VecProgram:
             scatter_commits.append(
                 (register, slots.tolist(), vals.tolist())
             )
-        # Counters: pure sums, validated up front.
-        count_commits = []
-        for array, idx_val, by_bytes in self.counts:
-            weights = sizes if by_bytes else None
-            if isinstance(idx_val, int):
-                if by_bytes:
-                    total = int(sizes.sum())
-                else:
-                    total = n
-                count_commits.append((array, [idx_val], [total]))
-                continue
-            indices = _resolve(idx_val, ctx)
-            size = len(array.values)
-            if ((indices < 0) | (indices >= size)).any():
-                bad = int(
-                    indices[(indices < 0) | (indices >= size)][0]
-                )
-                raise _Unvectorizable(
-                    f"register {array.name}: index {bad} out of range"
-                )
-            if weights is None:
-                sums = np.bincount(indices, minlength=size)
-            else:
-                sums = np.bincount(
-                    indices, weights=weights, minlength=size
-                ).astype(np.int64)
-            slots = np.nonzero(sums)[0]
-            count_commits.append(
-                (array, slots.tolist(), sums[slots].tolist())
-            )
         # Field stores: compute final values now (purely), write later.
         store_commits = []
         for key, val, commit_mask in self.stores:
@@ -783,38 +519,29 @@ class _VecProgram:
                 batch.store(key, idx, value)
             for register, slot, final in cell_commits:
                 register.values[slot] = final
-            for register, (slots, vals, is_add) in dyn_commits:
-                if is_add:
-                    register.bulk_add(slots, vals)
-                else:
-                    register.bulk_write(slots, vals)
             for register, slots, vals in scatter_commits:
                 register.bulk_write(slots, vals)
-            for array, slots, deltas in count_commits:
-                array.bulk_add(slots, deltas)
 
         return commit
 
 
 class _VecActionCompiler:
     """Lower one resolved ``(action, args)`` pair to a
-    :class:`_VecProgram`, or prove it non-vectorizable (``None``)."""
+    :class:`_VecProgram`, or prove it non-vectorizable (``None``).
+
+    The atom set is field stores, arithmetic and bitwise primitives,
+    constant-index register read-modify-write and write-only
+    dynamic-index register stores; any other primitive gives up, so
+    its lanes run the compiled engine's code."""
 
     def __init__(self, pipeline: "ColumnarPipeline", decl: ast.ActionDecl,
                  args: Tuple[int, ...]):
-        self.pipeline = pipeline
         self.asic = pipeline.asic
         self.decl = decl
         self.params = dict(zip(decl.params, args))
         self.env: Dict[str, Tuple[_Val, Optional[int]]] = {}
         self.cells: Dict[Tuple[str, int], _CellState] = {}
         self.scatters: List[tuple] = []
-        self.counts: List[tuple] = []
-        self.dyns: Dict[str, List[_DynState]] = {}
-        # Unwritten field reads, cached so two reads of one field are
-        # the *same* _Val -- the identity proof behind matching a
-        # dynamic register write's index to its gather's index.
-        self._reads: Dict[str, _Val] = {}
         # How each register is used in this body; mixing kinds on one
         # register defeats the per-kind soundness arguments.
         self.reg_use: Dict[str, str] = {}
@@ -825,26 +552,12 @@ class _VecActionCompiler:
         try:
             for call in self.decl.body:
                 self._call(call)
-            for states in self.dyns.values():
-                for state in states:
-                    if state.escaped and state.mode == "a":
-                        # The gather's observed values leaked into a
-                        # non-additive context (mask, hash, bitwise
-                        # op), but RMW observed values are unreduced
-                        # prefix sums -- only additive flows commute
-                        # with the register's per-write masking.
-                        raise _GiveUp("gather rmw escapes additive flow")
         except _GiveUp:
             return None
         stores = [
             (key, val, mask) for key, (val, mask) in self.env.items()
         ]
-        dyns = [
-            state for states in self.dyns.values() for state in states
-        ]
-        return _VecProgram(
-            stores, self.cells, self.scatters, self.counts, dyns
-        )
+        return _VecProgram(stores, self.cells, self.scatters)
 
     # ---- helpers --------------------------------------------------------
 
@@ -874,9 +587,6 @@ class _VecActionCompiler:
         hit = self.env.get(key)
         if hit is not None:
             return hit[0]
-        cached = self._reads.get(key)
-        if cached is not None:
-            return cached
         mask = self.asic.field_masks.get(key)
         if mask is None:
             raise _GiveUp(f"unknown field width for {key}")
@@ -893,8 +603,7 @@ class _VecActionCompiler:
                 arr = memo[_key] = col if idx is None else col[idx]
             return arr
 
-        val = self._reads[key] = _vv(fn, bits)
-        return val
+        return _vv(fn, bits)
 
     def _store_field(self, arg, val: _Val) -> None:
         if not isinstance(arg, ast.FieldRef):
@@ -908,24 +617,24 @@ class _VecActionCompiler:
             if mask != cell_reg.mask:
                 raise _GiveUp("affine store under a different mask")
             self.env[key] = (val, mask)
-        elif val.kind == "g" and mask == val.cell.register.mask:
-            # Same-width store keeps the gather-affine structure (the
-            # commit mask distributes over the additive chain), so a
-            # later register_write of this field still reads as RMW.
-            self.env[key] = (val, mask)
         else:
             self.env[key] = (_vmask(val, mask), None)
 
-    def _cell(self, register, index: int) -> _CellState:
+    def _cell(self, register, index: _Val) -> _CellState:
+        """The state of the register slot a constant index names -- a
+        literal, an action parameter, or a field this body set to a
+        constant."""
+        if not 0 <= index.const < len(register.values):
+            raise _GiveUp("constant register index out of range")
         if register.width > 48:
             # Leave headroom for a full batch of prefix-summed deltas
             # on top of the unreduced cell value.
             raise _GiveUp("wide register cell")
         self._use_register(register.name, "cell")
-        key = (register.name, index)
+        key = (register.name, index.const)
         state = self.cells.get(key)
         if state is None:
-            state = self.cells[key] = _CellState(register, index)
+            state = self.cells[key] = _CellState(register, index.const)
         return state
 
     # ---- one primitive --------------------------------------------------
@@ -972,37 +681,19 @@ class _VecActionCompiler:
             return
         if name == "register_read":
             register = self.asic.get_register(args[1])
-            index = self._const(args[2])
-            if index is not None:
-                if not 0 <= index < len(register.values):
-                    raise _GiveUp("constant register index out of range")
-                self._store_field(args[0], self._cell(register, index).read())
-                return
-            if register.width > _MAX_BITS:
-                raise _GiveUp("wide register gather")
-            self._use_register(register.name, "dyn")
-            idx_val = self._value(args[2])
-            if idx_val.kind in ("a", "g"):
-                raise _GiveUp("affine gather index")
-            states = self.dyns.setdefault(register.name, [])
-            for state in states:
-                if state.idx_val is idx_val:
-                    break
-            else:
-                state = _DynState(register, idx_val)
-                states.append(state)
-            self._store_field(args[0], state.read())
+            index = self._value(args[2])
+            if index.kind != "c":
+                raise _GiveUp("dynamic register gather")
+            self._store_field(args[0], self._cell(register, index).read())
             return
         if name == "register_write":
             register = self.asic.get_register(args[0])
             value = self._value(args[2])
-            index = self._const(args[1])
-            if index is not None:
-                if not 0 <= index < len(register.values):
-                    raise _GiveUp("constant register index out of range")
+            index = self._value(args[1])
+            if index.kind == "c":
                 state = self._cell(register, index)
                 if value.kind == "a":
-                    if value.cell != (register.name, index):
+                    if value.cell != (register.name, index.const):
                         raise _GiveUp("cross-cell affine write")
                     state.mode = "a"
                     state.delta = value.delta
@@ -1012,19 +703,8 @@ class _VecActionCompiler:
                     state.mode = "o"
                     state.over = value
                 return
-            states = self.dyns.get(register.name)
-            if states:
-                # The register was gathered earlier in this body: the
-                # write must hit the *same* per-lane slots to lower as
-                # a segmented RMW/overwrite.
-                self._use_register(register.name, "dyn")
-                if len(states) > 1:
-                    raise _GiveUp("write across multiple gather sites")
-                idx_val = self._value(args[1])
-                if idx_val is not states[0].idx_val:
-                    raise _GiveUp("gather/write index mismatch")
-                states[0].write(value)
-                return
+            if index.kind == "a":
+                raise _GiveUp("affine scatter index")
             self._use_register(register.name, "scatter")
             for existing, _i, _v in self.scatters:
                 if existing is register:
@@ -1033,90 +713,11 @@ class _VecActionCompiler:
                 cell_reg = self.cells[value.cell].register
                 if register.mask & cell_reg.mask != register.mask:
                     raise _GiveUp("widening affine scatter")
-            elif value.kind == "g":
-                if (register.mask & value.cell.register.mask
-                        != register.mask):
-                    raise _GiveUp("widening affine scatter")
-            idx_val = self._value(args[1])
-            if idx_val.kind in ("a", "g"):
-                raise _GiveUp("affine scatter index")
-            self.scatters.append((register, idx_val, value))
+            self.scatters.append((register, index, value))
             return
-        if name == "count":
-            counter = self.asic.get_counter(args[0])
-            by_bytes = counter.counter_type == "bytes"
-            index = self._const(args[1])
-            if index is not None:
-                if not 0 <= index < len(counter.array.values):
-                    raise _GiveUp("constant counter index out of range")
-                self.counts.append((counter.array, index, by_bytes))
-                return
-            idx_val = self._value(args[1])
-            if idx_val.kind == "a":
-                raise _GiveUp("affine counter index")
-            self.counts.append((counter.array, idx_val, by_bytes))
-            return
-        if name == "modify_field_with_hash_based_offset":
-            self._hash(args)
-            return
-        # RNG and anything unrecognized keep scalar semantics.
+        # Counters, hashes, RNG and anything unrecognized keep scalar
+        # semantics.
         raise _GiveUp(f"non-vectorizable primitive {name}")
-
-    def _hash(self, args) -> None:
-        """``modify_field_with_hash_based_offset(dst, base, calc,
-        size)``: hash the calculation's field-list columns with the
-        cached batch variant of the algorithm, mirroring
-        :meth:`repro.switch.compiled._Emitter.hash` (same width derivation,
-        same truncate-then-modulus order)."""
-        program = self.asic.program
-        calc = program.field_list_calcs.get(args[2])
-        if calc is None:
-            raise _GiveUp(f"unknown field_list_calculation {args[2]!r}")
-        base = self._value(args[1])
-        size = self._const(args[3])
-        if size is None:
-            raise _GiveUp("packet-dependent hash modulus")
-        inputs: List[_Val] = []
-        widths: List[int] = []
-        for list_name in calc.inputs:
-            field_list = program.field_lists.get(list_name)
-            if field_list is None:
-                raise _GiveUp(f"unknown field_list {list_name!r}")
-            for ref in field_list.entries:
-                if not isinstance(ref, ast.FieldRef):
-                    raise _GiveUp("non-field hash input")
-                field_key = f"{ref.header}.{ref.field}"
-                width_mask = self.asic.field_masks.get(
-                    field_key, (1 << 32) - 1
-                )
-                value = self._read_field(field_key)
-                if value.kind == "a":
-                    raise _GiveUp("affine hash input")
-                if value.kind == "g":
-                    value.cell.escaped = True
-                inputs.append(value)
-                widths.append(width_mask.bit_length())
-        hash_fn = vector_hash_fn(calc.algorithm, tuple(widths))
-        if hash_fn is None:
-            raise _GiveUp(f"non-vectorizable hash {calc.algorithm!r}")
-        out_mask = (1 << calc.output_width) - 1
-        bits = (
-            max(1, (size - 1).bit_length()) if size else calc.output_width
-        )
-
-        def fn(ctx, _inputs=tuple(inputs), _fn=hash_fn, _m=out_mask,
-               _size=size):
-            n = ctx["n"]
-            columns = []
-            for val in _inputs:
-                column = _resolve(val, ctx)
-                if not isinstance(column, np.ndarray):
-                    column = np.full(n, column, np.int64)
-                columns.append(column)
-            hashed = _fn(columns) & _m
-            return hashed % _size if _size else hashed
-
-        self._store_field(args[0], _vadd(_vv(fn, bits), base))
 
 
 # ---------------------------------------------------------------------------
@@ -1279,9 +880,9 @@ class _TableSweep:
 
     # ---- execution ------------------------------------------------------
 
-    def run(self, st: "_SweepState", sel=None) -> None:
+    def run(self, st: "_SweepState") -> None:
         batch = st.batch
-        idx, count = st.live(sel)
+        idx, count = st.live()
         if count == 0:
             return
         if not self.packable:
@@ -1337,10 +938,7 @@ class _TableSweep:
                 if program is None:
                     drains.append((matched, action, args, g_idx, g_count))
                     continue
-                commit = program.prepare(
-                    batch, g_idx, g_count,
-                    st.sizes if g_idx is None else st.sizes[g_idx],
-                )
+                commit = program.prepare(batch, g_idx, g_count)
                 commits.append((matched, g_count, commit))
         except _Unvectorizable:
             self._run_scalar(st, idx, count, "runtime-check")
@@ -1405,66 +1003,22 @@ class _TableSweep:
         return hits, misses
 
 
-class _CondSweep:
-    """A control-level ``if``/``else``: evaluate the condition over
-    the live lanes once (it is a pure function of per-lane fields, so
-    evaluation order relative to the arms is unobservable) and run
-    each arm's sweeps restricted to its lane subset.  Running every
-    then-lane before any else-lane is sound for the same reason
-    table-major sweeps are: all reachable tables have pairwise
-    disjoint cross-packet footprints."""
-
-    def __init__(self, cond_fn, then_sweeps, else_sweeps):
-        self.cond_fn = cond_fn
-        self.then_sweeps = then_sweeps
-        self.else_sweeps = else_sweeps
-
-    def run(self, st: "_SweepState", sel=None) -> None:
-        idx, count = st.live(sel)
-        if count == 0:
-            return
-        truth = self.cond_fn(st.batch, idx)
-        n = st.batch.n
-        if self.then_sweeps:
-            then_mask = np.zeros(n, bool)
-            if idx is None:
-                then_mask[:] = truth
-            else:
-                then_mask[idx] = truth
-            if then_mask.any():
-                for sweep in self.then_sweeps:
-                    sweep.run(st, then_mask)
-        if self.else_sweeps:
-            else_mask = np.zeros(n, bool)
-            if idx is None:
-                else_mask[:] = ~truth
-            else:
-                else_mask[idx] = ~truth
-            if else_mask.any():
-                for sweep in self.else_sweeps:
-                    sweep.run(st, else_mask)
-
-
 class _SweepState:
     """Per-batch bookkeeping shared by the sweeps: live-lane
     recomputation and fallback accounting."""
 
-    __slots__ = ("batch", "sizes", "fallback", "reasons")
+    __slots__ = ("batch", "fallback", "reasons")
 
     def __init__(self, batch: ColumnarBatch, reasons: Dict[str, int]):
         self.batch = batch
-        self.sizes = batch.sizes
         self.fallback = np.zeros(batch.n, bool)
         self.reasons = reasons
 
-    def live(self, sel=None):
+    def live(self):
         drop = self.batch.col(_DROP)
-        if sel is None:
-            if not drop.any():
-                return None, self.batch.n
-            live = np.nonzero(drop == 0)[0]
-            return live, len(live)
-        live = np.nonzero(sel & (drop == 0))[0]
+        if not drop.any():
+            return None, self.batch.n
+        live = np.nonzero(drop == 0)[0]
         return live, len(live)
 
     def mark_fallback(self, idx, count: int, reason: str) -> None:
@@ -1511,23 +1065,27 @@ class ColumnarPipeline(CompiledPipeline):
 
     # ---- admission: the footprint rule ---------------------------------
 
-    def _plan(self, decl, downstream=None) -> Optional[List[object]]:
+    def _plan(self, decl, downstream=None) -> Optional[List[_TableSweep]]:
         """Sweeps for one control block, or ``None`` when its bursts
         must run lane by lane.
 
-        Sweeping table k over every lane before table k+1 sees any (and
-        every then-lane before any else-lane) is observably identical
-        to per-packet execution iff each table footprint is disjoint
-        from every other.  ``downstream`` is the list of tables that
-        run per packet *after* this control's sweeps (ingress passes
-        every egress table), folded in as one combined footprint.  An
-        absent control is an empty plan."""
-        try:
-            sweeps, runtimes = self._lower_control(
-                [] if decl is None else decl.body
+        The body must be a flat list of exact-match table applications
+        (a control-level ``if`` rejects the program).  Sweeping table k
+        over every lane before table k+1 sees any is observably
+        identical to per-packet execution iff each table footprint is
+        disjoint from every other.  ``downstream`` is the list of
+        tables that run per packet *after* this control's sweeps
+        (ingress passes every egress table), folded in as one combined
+        footprint.  An absent control is an empty plan."""
+        runtimes = []
+        for stmt in [] if decl is None else decl.body:
+            runtime = (
+                self.asic.tables.get(stmt.table)
+                if isinstance(stmt, ast.ApplyCall) else None
             )
-        except _GiveUp:
-            return None
+            if runtime is None or not runtime._exact_only:
+                return None
+            runtimes.append(runtime)
         groups = [[runtime] for runtime in runtimes]
         if downstream is not None:
             groups.append(downstream)
@@ -1546,7 +1104,7 @@ class ColumnarPipeline(CompiledPipeline):
         # sound only when nothing else is stateful.
         if "recirc" in shared and shared != {"recirc"}:
             return None
-        return sweeps
+        return [_TableSweep(self, runtime) for runtime in runtimes]
 
     def _action_resources(self, action_name: str) -> Optional[set]:
         """Cross-packet state an action touches.  ``None`` for unknown
@@ -1585,142 +1143,6 @@ class ColumnarPipeline(CompiledPipeline):
             resources |= action_resources
         return resources
 
-    def _lower_control(self, body, nested=False):
-        """Lower a statement list to sweeps, collecting every
-        reachable table runtime; :class:`_GiveUp` on non-exact tables,
-        nested conditionals, or non-vectorizable conditions."""
-        sweeps: List[object] = []
-        runtimes = []
-        for stmt in body:
-            if isinstance(stmt, ast.ApplyCall):
-                runtime = self.asic.tables.get(stmt.table)
-                if runtime is None or not runtime._exact_only:
-                    raise _GiveUp("non-exact table")
-                runtimes.append(runtime)
-                sweeps.append(_TableSweep(self, runtime))
-            elif isinstance(stmt, ast.IfBlock) and not nested:
-                cond_fn = self._compile_vec_cond(stmt.cond)
-                if cond_fn is None:
-                    raise _GiveUp("non-vectorizable condition")
-                then_sweeps, then_rts = self._lower_control(
-                    stmt.then_body, nested=True
-                )
-                else_sweeps, else_rts = self._lower_control(
-                    stmt.else_body or [], nested=True
-                )
-                runtimes += then_rts + else_rts
-                sweeps.append(
-                    _CondSweep(cond_fn, then_sweeps, else_sweeps)
-                )
-            else:
-                raise _GiveUp("unsupported control statement")
-        return sweeps, runtimes
-
-    def _compile_vec_cond(self, expr):
-        """Lower a control-flow condition to ``fn(batch, idx) -> bool
-        array`` with the interpreter's exact semantics (comparisons
-        and connectives produce 0/1, arithmetic is unbounded -- so
-        int64 headroom is tracked like the action compiler does), or
-        ``None`` outside the vectorizable subset.  Malleable refs
-        raise at run time in the scalar engines, so they stay scalar
-        here too."""
-        try:
-            value, _bits = self._vec_cond_value(expr)
-        except _GiveUp:
-            return None
-
-        def fn(batch, idx, _v=value):
-            out = _v(batch, idx) if callable(_v) else _v
-            if isinstance(out, np.ndarray):
-                return out != 0
-            n = batch.n if idx is None else len(idx)
-            return np.full(n, bool(out))
-
-        return fn
-
-    def _vec_cond_value(self, expr):
-        """``(fn(batch, idx) -> ndarray | int, bits)`` for one
-        condition operand."""
-        if isinstance(expr, int):
-            return expr, max(1, expr.bit_length())
-        if isinstance(expr, ast.FieldRef):
-            key = f"{expr.header}.{expr.field}"
-            mask = self.asic.field_masks.get(key)
-            if mask is None:
-                raise _GiveUp(f"unknown field width for {key}")
-
-            def field_fn(batch, idx, _k=key):
-                col = batch.col(_k)
-                return col if idx is None else col[idx]
-
-            return field_fn, mask.bit_length()
-        if isinstance(expr, ast.ValidRef):
-
-            def valid_fn(batch, idx, _h=expr.header):
-                col = batch.valid_col(_h)
-                return col if idx is None else col[idx]
-
-            return valid_fn, 1
-        if isinstance(expr, ast.BinOp):
-            return self._vec_cond_binop(expr)
-        raise _GiveUp(f"non-vectorizable condition operand {expr!r}")
-
-    def _vec_cond_binop(self, expr):
-        op = expr.op
-        left, lbits = self._vec_cond_value(expr.left)
-        right, rbits = self._vec_cond_value(expr.right)
-        if op in ("==", "!=", "<", "<=", ">", ">=", "&&", "||"):
-            bits = 1
-        elif op in ("+", "-"):
-            bits = max(lbits, rbits) + 1
-        elif op in ("&", "|", "^"):
-            bits = max(lbits, rbits) + (1 if op == "^" else 0)
-        elif op == "<<":
-            if not isinstance(right, int) or right < 0:
-                raise _GiveUp("dynamic shift in condition")
-            bits = lbits + right
-        elif op == ">>":
-            bits = lbits
-        else:
-            raise _GiveUp(f"unknown condition operator {op!r}")
-        if bits > _MAX_BITS:
-            raise _GiveUp("int64 headroom in condition")
-
-        def fn(batch, idx, _l=left, _r=right, _op=op):
-            lv = _l(batch, idx) if callable(_l) else _l
-            rv = _r(batch, idx) if callable(_r) else _r
-            if _op == "==":
-                return (lv == rv).astype(np.int64)
-            if _op == "!=":
-                return (lv != rv).astype(np.int64)
-            if _op == "<":
-                return (lv < rv).astype(np.int64)
-            if _op == "<=":
-                return (lv <= rv).astype(np.int64)
-            if _op == ">":
-                return (lv > rv).astype(np.int64)
-            if _op == ">=":
-                return (lv >= rv).astype(np.int64)
-            if _op == "&&":
-                return ((lv != 0) & (rv != 0)).astype(np.int64)
-            if _op == "||":
-                return ((lv != 0) | (rv != 0)).astype(np.int64)
-            if _op == "+":
-                return lv + rv
-            if _op == "-":
-                return lv - rv
-            if _op == "&":
-                return lv & rv
-            if _op == "|":
-                return lv | rv
-            if _op == "^":
-                return lv ^ rv
-            if _op == "<<":
-                return lv << rv
-            return lv >> rv
-
-        return fn, bits
-
     def columnar_ops(
         self, control_name: str
     ) -> Optional[List[_TableSweep]]:
@@ -1742,7 +1164,7 @@ class ColumnarPipeline(CompiledPipeline):
         if hit is not _MISSING:
             return hit
         if action_name is None:
-            program: Optional[_VecProgram] = _VecProgram([], {}, [], [])
+            program: Optional[_VecProgram] = _VecProgram([], {}, [])
         else:
             decl = self.asic.program.actions.get(action_name)
             if decl is None or len(decl.params) != len(args):

@@ -75,18 +75,6 @@ class RegisterArray:
                 self._check_index(index)
             values[index] = value & mask
 
-    def bulk_add(self, indices: List[int], deltas: List[int]) -> None:
-        """Wrapping add of many ``(index, delta)`` pairs at once.
-
-        Summing per-slot deltas then masking once equals masking after
-        every increment (masks distribute over addition mod 2**width),
-        so batched counter commits stay bit-identical to the scalar
-        engine."""
-        values = self.values
-        mask = self.mask
-        for index, delta in zip(indices, deltas):
-            values[index] = (values[index] + delta) & mask
-
     def read_range(self, lo: int, hi: int) -> List[int]:
         """Read entries ``lo..hi`` inclusive (driver DMA-burst path)."""
         values = self.values

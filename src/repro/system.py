@@ -52,9 +52,7 @@ class MantisSystem:
         commit_mode: str = "diff",
         delta_polling: bool = False,
         ctrl_service: bool = False,
-        ctrl_window: int = 8,
         timeline_limit: Optional[int] = None,
-        commit_pipelining: bool = False,
     ):
         self.artifacts = artifacts
         self.clock = clock or SimClock()
@@ -84,7 +82,7 @@ class MantisSystem:
         if ctrl_service:
             from repro.ctrl import CtrlService
 
-            self.ctrl = CtrlService(self.driver, window=ctrl_window)
+            self.ctrl = CtrlService(self.driver)
             self.agent_session = self.ctrl.open_session(
                 "agent", priority="mantis", channel="mantis"
             )
@@ -93,7 +91,7 @@ class MantisSystem:
             artifacts, agent_driver, pacing_sleep_us=pacing_sleep_us,
             verify_commits=verify_commits, poll_batching=poll_batching,
             reaction_engine=reaction_engine, commit_mode=commit_mode,
-            delta_polling=delta_polling, commit_pipelining=commit_pipelining,
+            delta_polling=delta_polling,
         )
 
     @classmethod

@@ -219,8 +219,9 @@ class TestForcedFallbacks:
         assert col.asic.executor.columnar_ops("ingress") is None
 
     def test_ecmp_burst_fully_vectorized(self):
-        """ecmp's hash action used to drain per lane; the vectorized
-        crc16 lowering now keeps the whole burst columnar."""
+        """ecmp's tables still sweep as columns, but its hash action
+        and its egress counter are outside the vector atom set: both
+        drain per lane, with exactly these fallback keys."""
         workload = APPS["ecmp"][2](60)
         compiled = _build("ecmp", "compiled")
         compiled_obs = _run_batch_nosink(compiled, workload, batch_size=20)
@@ -228,9 +229,62 @@ class TestForcedFallbacks:
         col_obs = _run_batch_nosink(col, workload, batch_size=20)
         assert col_obs == compiled_obs
         _assert_same_state(compiled, col)
-        assert not col.asic.executor.fallback_counts
+        assert col.asic.executor.fallback_counts == {
+            "drain:ecmp_hash": 60, "drain:egress_counter": 60,
+        }
         stats = col.asic.batch_stats
         assert stats.packets == stats.fused + stats.slow_path
+
+
+CONST_INDEX_P4R = STANDARD_METADATA_P4 + """
+header_type h_t { fields { f : 16; i : 8; } }
+header h_t hdr;
+register r { width : 16; instance_count : 4; }
+counter c { type : packets; instance_count : 4; }
+action stash() {
+    modify_field(hdr.i, 3);
+    %s
+    modify_field(standard_metadata.egress_spec, 1);
+}
+table t { actions { stash; } default_action : stash(); }
+control ingress { apply(t); }
+"""
+
+
+class TestConstantValuedIndex:
+    """An index field the action body itself set to a constant: the
+    write lowers as a constant-index register cell (it once reached the
+    scatter path as a Python int and crashed ``prepare``), and the
+    counter drains per lane."""
+
+    @pytest.mark.parametrize(
+        "primitive, fallbacks",
+        [
+            ("register_write(r, hdr.i, hdr.f);", {}),
+            ("count(c, hdr.i);", {"drain:t": 8}),
+        ],
+        ids=["register_write", "count"],
+    )
+    def test_matches_compiled(self, primitive: str, fallbacks):
+        source = CONST_INDEX_P4R % primitive
+        workload = [{"hdr.f": 100 + i} for i in range(8)]
+        systems = []
+        for mode in ("compiled", "columnar"):
+            system = MantisSystem.from_source(
+                source, num_ports=8, execution_mode=mode
+            )
+            system.agent.prologue()
+            systems.append(system)
+        compiled, col = systems
+        compiled_obs = _run_batch_nosink(compiled, workload, batch_size=8)
+        col_obs = _run_batch_nosink(col, workload, batch_size=8)
+        assert col_obs == compiled_obs
+        _assert_same_state(compiled, col)
+        assert col.asic.executor.fallback_counts == fallbacks
+        if "register_write" in primitive:
+            assert col.asic.registers["r"].values == [0, 0, 0, 107]
+        else:
+            assert col.asic.counters["c"].array.values == [0, 0, 0, 8]
 
 
 class TestRandomizedDifferential:
@@ -271,8 +325,9 @@ class TestRandomizedDifferential:
 
 class TestRotatedHashRandomized:
     """Hypothesis: ECMP traffic with the malleable hash inputs rotated
-    between batches -- the vectorized crc16 must track every staged
-    alt configuration exactly like the compiled engine."""
+    between batches -- the columnar engine (its hash drained per lane)
+    must track every staged alt configuration exactly like the
+    compiled engine."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -320,7 +375,10 @@ class TestRotatedHashRandomized:
         col, col_obs = run("columnar")
         assert col_obs == compiled_obs
         _assert_same_state(compiled, col)
-        assert not col.asic.executor.fallback_counts
+        lanes = len(workload) * len(rotations)
+        assert col.asic.executor.fallback_counts == {
+            "drain:ecmp_hash": lanes, "drain:egress_counter": lanes,
+        }
 
 
 class TestEngineSelection:
@@ -403,30 +461,43 @@ class TestNetworkSimBurst:
         assert stats.columnar > 0  # vectorized ingress above the sink
 
 
+# Fallback keys each corpus app produces over 96 packets in bursts of
+# 32, and how many lanes left the vector path: dos runs entirely in
+# the vector atom set; the others hash, count or gather at a dynamic
+# index (drained per lane), or branch in egress (rl's queue-depth
+# ``if``: no egress plan, scalar tail).
+ADMISSION_FALLBACKS = {
+    "dos": ({}, 0),
+    "ecmp": ({"drain:ecmp_hash": 96, "drain:egress_counter": 96}, 96),
+    "failover": ({"drain:hb_filter": 32}, 32),
+    "sketch": ({"drain:cm_sketch": 96}, 96),
+    "rl": ({"tail:egress-plan": 96}, 0),
+}
+
+
 class TestVectorizedAdmission:
-    """The hash / masked-select / dynamic-index lowerings must admit
-    every vectorizable corpus app with zero runtime fallbacks."""
+    """Every corpus app keeps a columnar ingress plan, and falls back
+    exactly where its actions leave the vector atom set."""
 
-    VECTORIZABLE = ("dos", "ecmp", "failover", "sketch", "rl")
-
-    @pytest.mark.parametrize("name", VECTORIZABLE)
+    @pytest.mark.parametrize("name", sorted(ADMISSION_FALLBACKS))
     def test_zero_fallbacks(self, name: str):
+        """dos has zero fallbacks; every other app's keys are pinned."""
         col = _build(name, "columnar")
         assert col.asic.executor.columnar_ops("ingress") is not None
         _run_batch_nosink(col, APPS[name][2](96), batch_size=32)
-        assert not col.asic.executor.fallback_counts, (
-            name, dict(col.asic.executor.fallback_counts)
-        )
+        fallbacks, fallback_lanes = ADMISSION_FALLBACKS[name]
+        assert col.asic.executor.fallback_counts == fallbacks
         stats = col.asic.batch_stats
         assert stats.columnar == 96
-        assert stats.columnar_fallback == 0
+        assert stats.columnar_fallback == fallback_lanes
 
     @pytest.mark.parametrize("name", ["ecmp", "rl"])
     def test_egress_plan_admits(self, name: str):
-        """ecmp's dynamic-index egress counter and rl's queue-depth
-        conditional both lower into vectorized egress sweeps."""
+        """ecmp's egress counter table still sweeps (its action drains
+        per lane); rl's egress ``if`` makes admission refuse egress."""
         col = _build(name, "columnar")
-        assert col.asic.executor.columnar_ops("egress") is not None
+        egress = col.asic.executor.columnar_ops("egress")
+        assert (egress is None) == (name == "rl")
 
 
 COND_P4R = STANDARD_METADATA_P4 + """
@@ -457,7 +528,9 @@ control ingress {
 
 
 class TestMaskedSelectConditional:
-    """Control-level if/if-else lowers to lane-masked sweeps."""
+    """A control-level if/if-else makes admission refuse the program:
+    its bursts run the generated controls lane by lane and agree with
+    the compiled engine."""
 
     def _workload(self, n: int):
         return [{"hdr.f": (i * 37) % 256, "hdr.g": i % 9} for i in range(n)]
@@ -474,18 +547,17 @@ class TestMaskedSelectConditional:
             COND_P4R, num_ports=8, execution_mode="columnar"
         )
         col.agent.prologue()
-        assert col.asic.executor.columnar_ops("ingress") is not None
+        assert col.asic.executor.columnar_ops("ingress") is None
         col_obs = _run_batch_nosink(col, workload, batch_size)
         assert col_obs == compiled_obs
         _assert_same_state(compiled, col)
-        assert not col.asic.executor.fallback_counts
+        assert col.asic.batch_stats.columnar == 0
         # Both arms actually fire in this workload.
         ports = {obs[0] for obs in col_obs if obs is not None}
         assert ports == {1, 2}
 
     def test_nested_if_stays_scalar_but_agrees(self):
-        """Deeper nesting is outside the masked-select lowering: the
-        program must downgrade to a scalar path, never diverge."""
+        """Nested conditionals take the same lane-by-lane path."""
         workload = self._workload(40)
         compiled = MantisSystem.from_source(
             COND_NESTED_P4R, num_ports=8, execution_mode="compiled"

@@ -1,7 +1,7 @@
 """Documentation consistency guards.
 
-Every module, benchmark, and example that DESIGN.md / README.md /
-EXPERIMENTS.md reference must actually exist, and the README's
+Every module, benchmark, test file, and example that DESIGN.md /
+README.md / EXPERIMENTS.md reference must actually exist, and the README's
 embedded quickstart snippet must run.
 """
 
@@ -24,6 +24,15 @@ class TestReferencedPathsExist:
     def test_benchmark_files_exist(self, doc):
         text = read(doc)
         for match in re.findall(r"benchmarks/test_[a-z0-9_]+\.py", text):
+            assert os.path.exists(os.path.join(REPO, match)), match
+
+    @pytest.mark.parametrize("doc", ["DESIGN.md", "README.md",
+                                     "EXPERIMENTS.md"])
+    def test_test_files_exist(self, doc):
+        text = read(doc)
+        for match in re.findall(
+            r"(?<![\w/])tests/(?:[a-z0-9_]+/)*test_[a-z0-9_]+\.py", text
+        ):
             assert os.path.exists(os.path.join(REPO, match)), match
 
     @pytest.mark.parametrize("doc", ["DESIGN.md", "README.md"])
