@@ -1,7 +1,9 @@
 """Mantis: Reactive Programmable Switches (SIGCOMM 2020) -- a complete
 Python reproduction.
 
-Top-level convenience imports; see README.md for the architecture and
+Top-level convenience imports (the compiler, the parsers and
+``MantisSystem``; ``MultiPipelineSwitch`` lives in
+:mod:`repro.multipipe`); see README.md for the architecture and
 ``repro.system.MantisSystem`` for the one-call entry point::
 
     from repro import MantisSystem
@@ -11,7 +13,6 @@ Top-level convenience imports; see README.md for the architecture and
 """
 
 from repro.compiler.transform import CompilerOptions, compile_p4r
-from repro.multipipe import MultiPipelineSwitch
 from repro.p4.parser import parse_p4
 from repro.p4r.parser import parse_p4r
 from repro.system import MantisSystem
@@ -21,7 +22,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CompilerOptions",
     "MantisSystem",
-    "MultiPipelineSwitch",
     "compile_p4r",
     "parse_p4",
     "parse_p4r",

@@ -12,17 +12,15 @@ executes the paper's prologue/dialogue architecture:
   Section 5.2 timestamp cache, reaction execution (interpreted C or
   attached Python callables), and pacing (Figure 11).
 - :mod:`repro.agent.legacy` -- the concurrent legacy control-plane
-  model used by the Figure 12 interference experiment.
+  model used by the Figure 12 interference experiment; import it from
+  its module, the package does not re-export it.
 """
 
 from repro.agent.agent import MantisAgent, ReactionContext
 from repro.agent.handles import MalleableTableHandle
-from repro.agent.legacy import LegacyClient, legacy_latencies
 
 __all__ = [
-    "LegacyClient",
     "MalleableTableHandle",
     "MantisAgent",
     "ReactionContext",
-    "legacy_latencies",
 ]

@@ -15,20 +15,7 @@ the Mantis stack, plus the baselines they are compared against.
 - :mod:`repro.apps.linkguard` -- use case #6: LinkGuardian-style
   lossy-link detection (sequence-gap probe counters) and protection
   (reroute to the parallel link / disable the lossy port).
+
+The package re-exports nothing: import the use case you run, so numpy
+loads only with the modules that need it (``sketch`` and ``rl``).
 """
-
-from repro.apps.sketch import (
-    CountMinSketch,
-    HashTableEstimator,
-    MantisSamplingEstimator,
-    SFlowEstimator,
-    estimation_errors,
-)
-
-__all__ = [
-    "CountMinSketch",
-    "HashTableEstimator",
-    "MantisSamplingEstimator",
-    "SFlowEstimator",
-    "estimation_errors",
-]

@@ -15,11 +15,11 @@ Stands in for the paper's hardware testbed (Wedge switch + servers on
   response, enough to reproduce the congestion-and-recovery shapes of
   Figures 15 and the RL use case.
 - :mod:`repro.net.flows` -- synthetic CAIDA-like heavy-tailed traces
-  for the Figure 14 estimation experiment.
+  for the Figure 14 estimation experiment.  Not re-exported here: it
+  imports numpy, which the network simulation itself never needs.
 """
 
 from repro.net.events import EventQueue
-from repro.net.flows import TraceConfig, synthetic_trace
 from repro.net.hosts import HeartbeatGenerator, Host, SinkHost, UdpSender
 from repro.net.sim import NetworkSim, PortConfig
 from repro.net.tcp import TcpFlow
@@ -32,7 +32,5 @@ __all__ = [
     "PortConfig",
     "SinkHost",
     "TcpFlow",
-    "TraceConfig",
     "UdpSender",
-    "synthetic_trace",
 ]

@@ -29,7 +29,7 @@ class EventQueue:
 
     def schedule(self, time_us: float, callback: Callable[[float], None]) -> None:
         """Run ``callback(time_us)`` when the clock reaches ``time_us``."""
-        if time_us < 0:
+        if not time_us >= 0:  # NaN too: it would never come due
             raise SimulationError(f"cannot schedule event at {time_us}")
         heapq.heappush(self.heap, (time_us, next(self._sequence), callback))
 

@@ -35,11 +35,6 @@ from repro.switch.compiled import _tables_in
 from repro.switch.packet import Packet, TemplateBurst
 from repro.system import MantisSystem
 
-try:  # numpy backs the vectorized burst tail; optional like columnar
-    import numpy as np
-except ImportError:  # pragma: no cover - burst TM then runs per lane
-    np = None  # type: ignore[assignment]
-
 
 @dataclass
 class PortConfig:
@@ -339,7 +334,10 @@ class _BurstTM:
     def admit(self, lanes, ports_arr, times, sizes):
         """Enqueue the live lanes (``lanes is None`` = all) headed to
         ``ports_arr`` and return the queue depth each lane observed at
-        its own arrival instant."""
+        its own arrival instant.  Only the columnar engine's vectorized
+        tail calls this, so numpy comes from that engine."""
+        from repro.switch.columnar import np
+
         switch = self.switch
         times_arr = np.asarray(times, np.float64)
         if lanes is None:
@@ -374,6 +372,8 @@ class _BurstTM:
     def _admit_port(
         self, port_index, sel, lane_sel, t, sizes, depths, pending
     ) -> None:
+        from repro.switch.columnar import np
+
         switch = self.switch
         port = switch._port(port_index)
         k = len(sel)
@@ -544,7 +544,7 @@ class FabricSwitch:
         # Static per-program gate for the vectorized burst tail: when
         # no egress action can drop and nothing recirculates, burst
         # delivery runs through _BurstTM instead of a per-packet sink.
-        self._burst_vec = np is not None and _burst_vec_ok(system)
+        self._burst_vec = _burst_vec_ok(system)
         # The agent as a schedulable actor; armed by the fabric's
         # run_until(agent=True).
         self.agent_actor = AgentActor(system.agent, name=f"{name}.agent")

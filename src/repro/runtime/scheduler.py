@@ -210,7 +210,7 @@ class Scheduler:
 
     def after(self, delay_us: float, fn: Callable[[float], None]) -> None:
         """One-shot event ``delay_us`` from now."""
-        if delay_us < 0:
+        if not delay_us >= 0:  # NaN too
             raise SimulationError(f"cannot schedule {delay_us} us in the past")
         self.events.schedule(self.clock.now + delay_us, fn)
 

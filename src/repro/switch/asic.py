@@ -25,14 +25,14 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.errors import SwitchError
 from repro.p4 import ast
 from repro.p4.validate import validate_program
 from repro.switch.clock import SimClock
-from repro.switch import columnar as columnar_engine
-from repro.switch.columnar import ColumnarBatch, ColumnarPipeline
 from repro.switch.compiled import CompiledPipeline, PipelineProfile
 from repro.switch.packet import (
     Packet,
@@ -42,6 +42,9 @@ from repro.switch.packet import (
 from repro.switch.pipeline import PipelineExecutor
 from repro.switch.registers import RegisterArray
 from repro.switch.tables import TableRuntime
+
+if TYPE_CHECKING:
+    from repro.switch.columnar import ColumnarBatch
 
 # P4-14 source for the intrinsic metadata; programs that reference
 # standard_metadata fields should prepend this snippet.
@@ -184,12 +187,7 @@ class SwitchAsic:
         self._rng = rng
         self._seed = seed
         self.interpreter = PipelineExecutor(self, seed=seed, rng=rng)
-        if execution_mode == "compiled":
-            self._bind_executor(CompiledPipeline(self, rng=rng))
-        elif execution_mode == "columnar":
-            self._bind_executor(ColumnarPipeline(self, rng=rng))
-        else:
-            self._bind_executor(self.interpreter)
+        self._bind_executor(self._engine())
         self.packets_processed = 0
         self.packets_dropped = 0
         # Total pipeline passes, including recirculations: the unit of
@@ -202,6 +200,20 @@ class SwitchAsic:
         # ASIC tests).
         self.queue_model: Optional[QueueModel] = None
         self.profile: Optional[PipelineProfile] = None
+
+    def _engine(self, profile: Optional[PipelineProfile] = None):
+        """The executor for :attr:`execution_mode`, around the shared
+        RNG.  The columnar engine, and numpy with it, is first imported
+        here, when a switch binds it (the burst paths import from the
+        loaded module): scenarios on the scalar engines load neither."""
+        mode = self.execution_mode
+        if mode == "compiled":
+            return CompiledPipeline(self, rng=self._rng, profile=profile)
+        if mode == "columnar":
+            from repro.switch.columnar import ColumnarPipeline
+
+            return ColumnarPipeline(self, rng=self._rng, profile=profile)
+        return self.interpreter
 
     def _bind_executor(self, executor) -> None:
         """Select an engine and bind its two controls once, so
@@ -217,7 +229,7 @@ class SwitchAsic:
         self._ingress = executor.bound_control("ingress")
         self._egress = executor.bound_control("egress")
         self._ingress_sweeps = self._egress_sweeps = None
-        if isinstance(executor, ColumnarPipeline):
+        if self.execution_mode == "columnar":
             self._ingress_sweeps = executor.columnar_ops("ingress")
             self._egress_sweeps = executor.columnar_ops("egress")
 
@@ -285,12 +297,7 @@ class SwitchAsic:
                 "hot-loop profiling requires the compiled or columnar engine"
             )
         profile = PipelineProfile()
-        engine = (
-            ColumnarPipeline
-            if self.execution_mode == "columnar"
-            else CompiledPipeline
-        )
-        self._bind_executor(engine(self, rng=self._rng, profile=profile))
+        self._bind_executor(self._engine(profile))
         self.profile = profile
         return profile
 
@@ -416,6 +423,8 @@ class SwitchAsic:
         (see :class:`BatchStats`).
         """
         if self._ingress_sweeps is not None:
+            from repro.switch.columnar import ColumnarBatch
+
             if isinstance(packets, TemplateBurst):
                 batch = ColumnarBatch.from_burst(packets)
             else:
@@ -543,7 +552,8 @@ class SwitchAsic:
                 "process_batch_columnar requires execution_mode='columnar' "
                 "with a columnar-admissible program (and profiling off)"
             )
-        np = columnar_engine.np
+        from repro.switch.columnar import _SweepState, _Unvectorizable, np
+
         executor = self.executor
         egress_sweeps = self._egress_sweeps
         n = batch.n
@@ -566,7 +576,7 @@ class SwitchAsic:
             batch.store(
                 "standard_metadata.ingress_global_timestamp", None, stamps
             )
-        state = columnar_engine._SweepState(batch, executor.fallback_counts)
+        state = _SweepState(batch, executor.fallback_counts)
         results: List[ProcessResult] = [None] * n
         dropped = 0
         run_passes = self._run_passes
@@ -596,7 +606,7 @@ class SwitchAsic:
                     live_idx = np.nonzero(live_mask)[0]
                 try:
                     spec = batch.col("standard_metadata.egress_spec")
-                except columnar_engine._Unvectorizable:
+                except _Unvectorizable:
                     tail_reason = "tail:egress-spec"
                 else:
                     live_spec = spec if live_idx is None else spec[live_idx]

@@ -43,7 +43,7 @@ class SimClock:
 
     def advance(self, delta_us: float) -> float:
         """Move time forward by ``delta_us`` and return the new time."""
-        if delta_us < 0:
+        if not delta_us >= 0:  # NaN too: it would stall every event
             raise ValueError(f"cannot advance clock by {delta_us} us")
         self.now = now = self.now + delta_us
         for heap, drain in self._watched:

@@ -212,15 +212,16 @@ class TestInstallRoutes:
 
 
 def test_routing_apps_import_no_third_party_graph_library():
-    """The routing apps load nothing beyond the standard library, numpy
-    and ``repro`` itself: shortest paths are the in-repo BFS."""
+    """The routing apps load nothing beyond the standard library and
+    ``repro`` itself: shortest paths are the in-repo BFS, and numpy
+    loads only with the columnar engine."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import repro.apps.fabric_lb, repro.apps.failover\n"
         "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(loaded - set(sys.stdlib_module_names)"
-        " - {'repro', 'numpy'}))\n"
+        " - {'repro'}))\n"
     )
     src = os.path.join(
         os.path.dirname(os.path.dirname(os.path.dirname(

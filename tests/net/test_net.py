@@ -71,6 +71,14 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             EventQueue().schedule(-1.0, lambda t: None)
 
+    def test_nan_time_rejected(self):
+        from repro.errors import SimulationError
+
+        queue = EventQueue()
+        with pytest.raises(SimulationError):
+            queue.schedule(float("nan"), lambda t: None)
+        assert len(queue) == 0
+
 
 class TestForwardingPath:
     def test_host_to_host_delivery(self):

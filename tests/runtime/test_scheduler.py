@@ -46,6 +46,12 @@ class TestEvents:
         with pytest.raises(SimulationError):
             scheduler.after(-1.0, lambda now: None)
 
+    def test_after_nan_delay_rejected(self):
+        scheduler = Scheduler()
+        with pytest.raises(SimulationError):
+            scheduler.after(float("nan"), lambda now: None)
+        assert len(scheduler.events) == 0
+
     def test_event_exactly_at_horizon_runs(self):
         scheduler = Scheduler()
         log = []

@@ -35,6 +35,14 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-1.0)
 
+    def test_nan_advance_rejected(self):
+        # A NaN clock would never reach a pending event again.
+        clock = SimClock()
+        clock.advance(2.0)
+        with pytest.raises(ValueError):
+            clock.advance(float("nan"))
+        assert clock.now == 2.0
+
 
 class TestPacket:
     def test_fields_and_validity(self):
