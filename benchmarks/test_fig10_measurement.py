@@ -61,16 +61,11 @@ def measure_poll_latency(source: str) -> float:
     system = MantisSystem.from_source(source)
     system.agent.prologue()
     agent = system.agent
-    runtime = agent._reactions[0]
-    clock = system.clock
     total = 0.0
     rounds = 50
     for _ in range(rounds):
-        agent._write_master(mv=agent.mv ^ 1)
-        agent.mv ^= 1
-        start = clock.now
-        agent._poll_args(runtime, agent.mv ^ 1)
-        total += clock.now - start
+        agent.run_iteration()
+        total += agent.last_breakdown["poll_us"]
     return total / rounds
 
 

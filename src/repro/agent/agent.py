@@ -38,11 +38,7 @@ import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.errors import (
-    AgentError,
-    DriverTimeoutError,
-    TransientDriverError,
-)
+from repro.errors import AgentError, TransientDriverError
 from repro.agent.handles import MalleableTableHandle
 from repro.compiler.spec import (
     CompiledArtifacts,
@@ -51,6 +47,7 @@ from repro.compiler.spec import (
     RegisterMirror,
     ReactionSpec,
 )
+from repro.agent.iteration import RECOVERABLE as _RECOVERABLE, build_iteration
 from repro.p4r.creaction import CReaction, ReactionEnv
 from repro.p4r.compiled_reaction import (
     CompiledReaction,
@@ -60,9 +57,6 @@ from repro.p4r.compiled_reaction import (
 from repro.switch.driver import Driver, MemoHandle
 
 COMMIT_MODES = ("diff", "full")
-
-# The failure modes the dialogue loop absorbs instead of crashing on.
-_RECOVERABLE = (TransientDriverError, DriverTimeoutError)
 
 
 class ReactionContext:
@@ -152,14 +146,14 @@ class AgentHealth:
 
 
 class _MirrorReader:
-    """Timestamp-cached reader for one duplicated register
-    (Section 5.2): rejects stale checkpoint values so the agent always
-    sees the most recently committed contents."""
+    """Timestamp-cached reader state for one duplicated register
+    (Section 5.2): the generated iteration (:mod:`repro.agent.iteration`)
+    polls through it and rejects stale checkpoint values, so the agent
+    always sees the most recently committed contents."""
 
     def __init__(
         self, driver: Driver, mirror: RegisterMirror, delta: bool = False
     ):
-        self.driver = driver
         self.mirror = mirror
         self.delta = delta
         self.memo_dup = driver.memoize("register", mirror.duplicate)
@@ -181,60 +175,6 @@ class _MirrorReader:
         """Drop the seq snapshots (after a driver fault or recovery:
         a retried/corrupted read must not justify a skip)."""
         self._seq_cache.clear()
-
-    def poll(self, checkpoint: int, lo: int, hi: int) -> Dict[int, int]:
-        offset = checkpoint * self.mirror.padded_count
-        with self.driver.batch():
-            seqs: Optional[List[int]] = None
-            if self.delta:
-                seqs = self.driver.read_registers(
-                    self.mirror.seq, lo, hi, memo=self.memo_seq
-                )
-                self.delta_checks += 1
-                if self._seq_cache.get((lo, hi)) == seqs:
-                    self.delta_skips += 1
-                    return self.cached(lo, hi)
-            stamps = self.driver.read_registers(
-                self.mirror.ts, offset + lo, offset + hi, memo=self.memo_ts
-            )
-            values = self.driver.read_registers(
-                self.mirror.duplicate, offset + lo, offset + hi,
-                memo=self.memo_dup,
-            )
-        cache_ts, cache_values = self.cache_ts, self.cache_values
-        index = lo
-        for stamp, value in zip(stamps, values):
-            if stamp > cache_ts[index]:
-                cache_ts[index] = stamp
-                cache_values[index] = value
-                self._suspect[index] = 0
-            elif stamp < cache_ts[index] and stamp > self._last_raw[index]:
-                # The slot's sequence number demonstrably advanced yet
-                # still sits below our high-water mark, which means the
-                # cached stamp came from a corrupted read.  One sighting
-                # could itself be corruption; two consecutive advancing
-                # sightings resynchronize the cache.
-                self._suspect[index] += 1
-                if self._suspect[index] >= 2:
-                    cache_ts[index] = stamp
-                    cache_values[index] = value
-                    self._suspect[index] = 0
-            else:
-                self._suspect[index] = 0
-            self._last_raw[index] = stamp
-            index += 1
-        if seqs is not None:
-            # Snapshot only after a *successful* full poll: a raise
-            # above leaves the old snapshot, so the next poll re-reads.
-            self._seq_cache[(lo, hi)] = seqs
-        return self.cached(lo, hi)
-
-    def cached(self, lo: int, hi: int) -> Dict[int, int]:
-        """Last successfully polled values (fallback when the control
-        channel fails mid-poll: stale but internally consistent)."""
-        if lo == hi:
-            return {lo: self.cache_values[lo]}
-        return dict(zip(range(lo, hi + 1), self.cache_values[lo:hi + 1]))
 
 
 class _PollPlan:
@@ -282,6 +222,21 @@ class _ReactionRuntime:
         self.plan = _PollPlan()
 
 
+class _IterationKnob:
+    """A setting the generated iteration is built from: setting it
+    after ``prologue()`` regenerates the iteration.  It has no
+    ``__get__``, so a read finds the value in the instance dict at a
+    plain attribute's cost."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __set__(self, agent: "MantisAgent", value) -> None:
+        agent.__dict__[self.name] = value
+        if agent._iterate is not None:
+            agent._iterate = build_iteration(agent)
+
+
 class MantisAgent:
     """A per-pipeline Mantis agent bound to one driver.
 
@@ -299,6 +254,10 @@ class MantisAgent:
     the Section 8.1 cost model predicts per configuration.
     """
 
+    verify_commits = _IterationKnob()
+    poll_batching = _IterationKnob()
+    commit_mode = _IterationKnob()
+
     def __init__(
         self,
         artifacts: CompiledArtifacts,
@@ -315,6 +274,8 @@ class MantisAgent:
         self.artifacts = artifacts
         self.driver = driver
         self._clock = driver.clock
+        # The generated dialogue iteration (bound in _bind_dialogue()).
+        self._iterate: Optional[Callable[[bool], float]] = None
         self.pacing_sleep_us = pacing_sleep_us
         self.verify_commits = verify_commits
         self.commit_retry_limit = commit_retry_limit
@@ -521,9 +482,11 @@ class MantisAgent:
     def _bind_dialogue(self) -> None:
         """Resolve, once, everything a dialogue iteration replays:
         measurement memos and mirror readers, table handles, each
-        reaction's poll plan and the master's version-bit positions.
-        Shared by ``prologue()`` and ``recover()``, so a recovered
-        agent iterates exactly like one that never crashed."""
+        reaction's poll plan and the master's version-bit positions --
+        then generate the iteration from them
+        (:func:`~repro.agent.iteration.build_iteration`).  Shared by
+        ``prologue()`` and ``recover()``, so a recovered agent iterates
+        exactly like one that never crashed."""
         driver = self.driver
         for container in self.spec.containers:
             self._container_memos[container.register] = driver.memoize(
@@ -539,6 +502,7 @@ class MantisAgent:
         if self._master is not None:
             self._vv_index = self._master.param_index("vv")
             self._mv_index = self._master.param_index("mv")
+        self._iterate = build_iteration(self)
 
     def _poll_plan(self, spec: ReactionSpec) -> _PollPlan:
         plan = _PollPlan()
@@ -761,122 +725,7 @@ class MantisAgent:
         """
         if not self._prologue_done:
             raise AgentError("run prologue() before the dialogue loop")
-        clock = self._clock
-        start = clock.now
-        failures_before = self._total_failures
-
-        # Roll any unfinished mirror forward *before* reactions stage
-        # new changes: a stale mirror replaying after fresh prepares
-        # could resurrect entries the new generation deleted.
-        if self._mirror_old_vv is not None \
-                and not self._finish_mirror_tolerant():
-            busy = clock.now - start
-            self._account_iteration(
-                0.0, 0.0, 0.0, busy, busy, failures_before
-            )
-            return busy
-
-        if self._flips_mv:
-            try:
-                self._write_master(mv=self.mv ^ 1)
-                self.mv ^= 1
-                self._param_values["mv"] = self.mv
-            except _RECOVERABLE as error:
-                # Tolerated: poll the previous checkpoint again (one
-                # measurement interval staler, still consistent).
-                self._note_failure(error)
-        checkpoint = self.mv ^ 1
-        after_flip = clock.now
-
-        poll_time = 0.0
-        if self.poll_batching:
-            # SS6-style batched DMA for measurement: every reaction's
-            # poll reads share one driver batch (one PCIe round trip),
-            # then the reactions run outside it so their writes pay
-            # their own transactions.
-            poll_start = clock.now
-            polled: List[Optional[Dict[str, object]]] = []
-            with self.driver.batch():
-                for runtime in self._reactions:
-                    try:
-                        polled.append(self._poll_args(runtime, checkpoint))
-                    except _RECOVERABLE as error:
-                        self._note_failure(error)
-                        polled.append(None)  # skip for one iteration
-            poll_time = clock.now - poll_start
-            for runtime, args in zip(self._reactions, polled):
-                if args is not None:
-                    self._execute(runtime, args)
-        else:
-            for runtime in self._reactions:
-                poll_start = clock.now
-                try:
-                    args = self._poll_args(runtime, checkpoint)
-                except _RECOVERABLE as error:
-                    self._note_failure(error)
-                    poll_time += clock.now - poll_start
-                    continue  # skip this reaction for one iteration
-                poll_time += clock.now - poll_start
-                self._execute(runtime, args)
-        before_commit = clock.now
-
-        if commit:
-            self._commit_with_recovery()
-        if self._pending_swaps:
-            self._apply_pending_swaps()
-
-        end = clock.now
-        busy = end - start
-        self._account_iteration(
-            after_flip - start,
-            poll_time,
-            before_commit - after_flip - poll_time,
-            end - before_commit,
-            busy,
-            failures_before,
-        )
-        return busy
-
-    def _account_iteration(
-        self,
-        mv_flip_us: float,
-        poll_us: float,
-        react_us: float,
-        commit_us: float,
-        busy: float,
-        failures_before: int,
-    ) -> None:
-        """Book one finished iteration: its per-phase breakdown (the
-        terms of the Section 8.1 formula), lifetime totals, duration
-        window, pacing sleep and the failure streak."""
-        self.last_breakdown = {
-            "mv_flip_us": mv_flip_us,
-            "poll_us": poll_us,
-            "react_us": react_us,
-            "commit_us": commit_us,
-            "total_us": busy,
-        }
-        self.iterations += 1
-        self.total_busy_us += busy
-        totals = self.phase_totals
-        totals["mv_flip_us"] += mv_flip_us
-        totals["poll_us"] += poll_us
-        totals["react_us"] += react_us
-        totals["commit_us"] += commit_us
-        totals["total_us"] += busy
-        duration = busy + self.pacing_sleep_us
-        self.iteration_durations.append(duration)
-        self._duration_sum_us += duration
-        self._duration_count += 1
-        if len(self.iteration_durations) > 100_000:
-            del self.iteration_durations[:50_000]
-        if self.pacing_sleep_us:
-            self._clock.advance(self.pacing_sleep_us)
-            self.total_idle_us += self.pacing_sleep_us
-        if self._total_failures > failures_before:
-            self._consecutive_failures += 1
-        else:
-            self._consecutive_failures = 0
+        return self._iterate(commit)
 
     def run(self, iterations: int) -> None:
         for _ in range(iterations):
@@ -1137,89 +986,6 @@ class MantisAgent:
                 attempts_left -= 1
                 if attempts_left <= 0:
                     return False
-
-    def _poll_args(
-        self, runtime: _ReactionRuntime, checkpoint: int
-    ) -> Dict[str, object]:
-        """Poll one reaction's parameters from the checkpoint copies
-        by replaying its :class:`_PollPlan`.
-
-        Failed container/mirror reads degrade to the last successfully
-        read values (stale but consistent) instead of raising.
-        """
-        plan = runtime.plan
-        args: Dict[str, object] = {}
-        if plan.reads:
-            if len(plan.reads) > 1:
-                with self.driver.batch():
-                    words = self._read_containers(plan.reads, checkpoint)
-            else:
-                # A batch of one op prices exactly like that op alone.
-                words = self._read_containers(plan.reads, checkpoint)
-            for c_name, read, shift, mask in plan.fields:
-                args[c_name] = (words[read] >> shift) & mask
-        for c_name, reader, lo, hi, param in plan.rest:
-            if reader is None:
-                args[c_name] = self._param_values[param]
-                continue
-            try:
-                args[c_name] = reader.poll(checkpoint, lo, hi)
-            except _RECOVERABLE as error:
-                self._note_failure(error)
-                args[c_name] = reader.cached(lo, hi)
-        return args
-
-    def _read_containers(
-        self, reads: List[Tuple[str, MemoHandle]], checkpoint: int
-    ) -> List[int]:
-        words = []
-        driver, cache = self.driver, self._container_cache
-        for register, memo in reads:
-            try:
-                word = driver.read_registers(
-                    register, checkpoint, checkpoint, memo=memo
-                )[0]
-                cache[register] = word
-            except _RECOVERABLE as error:
-                self._note_failure(error)
-                word = cache.get(register, 0)
-            words.append(word)
-        return words
-
-    def _execute(self, runtime: _ReactionRuntime, args: Dict[str, object]) -> None:
-        if runtime.py_impl is not None:
-            context = runtime.context
-            if context is None:
-                context = runtime.context = ReactionContext(
-                    self, args, runtime.state
-                )
-            else:
-                context.args = args
-            runtime.py_impl(context)
-            return
-        if runtime.c_impl is None:
-            return
-        # One persistent env per reaction: the compiled engine binds
-        # its closure to the env object once (prefetching table/extern
-        # handles) and only the polled args change per iteration.
-        if runtime.env is None:
-            runtime.env = ReactionEnv(
-                args=args,
-                read_malleable=self.read_malleable,
-                write_malleable=self.write_malleable,
-                tables=self._tables,
-                externs=self.externs,
-                statics=runtime.statics,
-            )
-        else:
-            runtime.env.args = args
-        runtime.c_impl.run(runtime.env)
-        # Charge simulated CPU time for the reaction logic (the "C"
-        # term of the Section 8.1 formula): ~2 ns per interpreted
-        # expression, a CPU-scale per-instruction cost.
-        self._clock.advance(
-            runtime.c_impl.last_op_count * self.c_op_cost_us
-        )
 
     # ------------------------------------------------------------------
     # Statistics (Figure 11)

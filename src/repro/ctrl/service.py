@@ -665,6 +665,15 @@ class CtrlSession:
         }
 
 
+def _takes_session(attribute) -> bool:
+    """Whether a ``Driver`` class attribute is a method with a
+    ``session`` parameter (a device op that must reserve the channel)."""
+    code = getattr(attribute, "__code__", None)
+    return code is not None and "session" in code.co_varnames[
+        :code.co_argcount + code.co_kwonlyargcount
+    ]
+
+
 class SessionDriver:
     """Drop-in :class:`Driver` facade bound to one session.
 
@@ -674,6 +683,11 @@ class SessionDriver:
     ``driver.memoization_enabled`` or reads ``driver.errors_total``
     keeps working unchanged.  Asynchronous writes go through the
     session's ``submit_*`` methods instead.
+
+    Every device op (a ``Driver`` method taking ``session``) needs its
+    own wrapper here: falling through to the raw driver would skip the
+    session's channel reservation, so an unwrapped op raises
+    :class:`AttributeError` instead.
     """
 
     _LOCAL = ("_driver", "_session", "_batch_scope")
@@ -686,6 +700,11 @@ class SessionDriver:
         )
 
     def __getattr__(self, name):
+        if _takes_session(getattr(Driver, name, None)):
+            raise AttributeError(
+                f"SessionDriver has no wrapper for driver op {name!r}; "
+                "forwarding it would bypass the session's channel"
+            )
         return getattr(self._driver, name)
 
     def __setattr__(self, name, value):

@@ -336,7 +336,7 @@ class _BurstTM:
         ``ports_arr`` and return the queue depth each lane observed at
         its own arrival instant.  Only the columnar engine's vectorized
         tail calls this, so numpy comes from that engine."""
-        from repro.switch.columnar import np
+        from repro.switch.columnar import np, unique_sorted
 
         switch = self.switch
         times_arr = np.asarray(times, np.float64)
@@ -351,7 +351,7 @@ class _BurstTM:
         # scheduled after all ports commit, sorted by lane, so event
         # insertion order matches the scalar per-lane interleaving.
         pending: List[Tuple[int, float, int, Packet]] = []
-        for port_index in np.unique(ports_arr).tolist():
+        for port_index in unique_sorted(ports_arr).tolist():
             sel = np.nonzero(ports_arr == port_index)[0]
             self._admit_port(
                 int(port_index), sel, lane_idx[sel], t_all[sel],

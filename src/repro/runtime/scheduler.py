@@ -318,6 +318,8 @@ class Scheduler:
         """
         clock, events = self.clock, self.events
         horizon = _INFINITY if horizon_us is None else horizon_us
+        if horizon != horizon:  # NaN: no event or actor would ever run
+            raise SimulationError(f"cannot run until {horizon_us} us")
         while True:
             if actors:
                 actor_time, record = self._peek_actor()

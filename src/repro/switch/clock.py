@@ -58,6 +58,8 @@ class SimClock:
             for heap, drain in self._watched:
                 if heap and heap[0][0] <= time_us:
                     drain(time_us)
+        elif time_us != time_us:  # NaN: every comparison is False
+            raise ValueError(f"cannot advance clock to {time_us} us")
         return self.now
 
     def __repr__(self) -> str:

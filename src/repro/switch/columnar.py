@@ -97,6 +97,22 @@ def _broadcast(n: int, value: int) -> "np.ndarray":
     return arr
 
 
+def unique_sorted(values: "np.ndarray", return_index: bool = False):
+    """``np.unique(values[, return_index=True])`` for a 1-D integer
+    array: the distinct values ascending (and the index of each one's
+    first occurrence), from a stable sort.  ``np.unique`` would import
+    ``numpy.ma`` on first use (numpy 2.x checks for masked input), a
+    module no burst otherwise needs."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(len(ordered), bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    if return_index:
+        return ordered[first], order[first]
+    return ordered[first]
+
+
 class _Unvectorizable(Exception):
     """A lowering that looked sound at compile time failed a run-time
     check (index range, int64 headroom).  Raised only from *prepare*
@@ -497,7 +513,7 @@ class _VecProgram:
                 )
             values = _resolve(value_val, ctx)
             rev = indices[::-1]
-            slots, first = np.unique(rev, return_index=True)
+            slots, first = unique_sorted(rev, return_index=True)
             last_pos = n - 1 - first
             if isinstance(values, np.ndarray):
                 vals = values[last_pos]
@@ -853,7 +869,7 @@ class _TableSweep:
             remaining = ~hit_mask
             if hit_mask.any():
                 matched_pos = positions[hit_mask]
-                for pos in np.unique(matched_pos):
+                for pos in unique_sorted(matched_pos):
                     local = hit_mask & (positions == pos)
                     groups.append((entries[pos], local, int(local.sum())))
         miss_count = count - sum(g[2] for g in groups)

@@ -158,6 +158,50 @@ class MemoHandle:
         return f"MemoHandle({self.kind!r}, {self.name!r})"
 
 
+# ---- the plain tail as source ----------------------------------------------
+#
+# Code generated against a driver (repro.agent.iteration) may issue a
+# memoized op without calling it, but only by replaying
+# ``Driver._execute``'s plain tail; both live here, next to it, so the
+# test that decides the tail and what the tail does stay one thing.
+# ``tests/switch/test_driver.py`` fails when ``_execute`` reads a driver
+# attribute this guard does not check.
+
+
+def plain_tail_guard(drv: str) -> str:
+    """Source of the test under which ``Driver._execute`` takes its
+    plain tail for a sessionless op, on the driver named ``drv``, plus
+    memoization on (the prep :func:`plain_op_cost` prices)."""
+    return (
+        f"{drv}.fault_injector is None and not {drv}.post_op_hooks"
+        f" and not {drv}.record_timeline and {drv}.memoization_enabled"
+    )
+
+
+def plain_op_cost(model: DriverCostModel, device_cost: float,
+                  pays_pcie: bool) -> float:
+    """What the plain tail adds to the clock for one memoized op:
+    ``prep + device_cost + pcie``, summed left to right."""
+    pcie = model.pcie_rtt_us if pays_pcie else 0.0
+    return model.memoized_prep_us + device_cost + pcie
+
+
+def plain_tail_source(drv: str, batch: str, clock: str, apply: str,
+                      head: str, rest: str) -> str:
+    """Source of ``Driver._execute``'s plain tail for one op whose device
+    access is the statement ``apply``; ``head``/``rest`` name its
+    :func:`plain_op_cost` with and without PCIe (it pays PCIe when no
+    batch is open or the open one has not paid yet)."""
+    return f"""\
+{drv}.op_attempts += 1
+c = {head} if not {batch}.depth or not {batch}.pcie_paid else {rest}
+{apply}
+{batch}.pcie_paid = True
+{clock}.advance(c)
+{drv}.ops_issued += 1
+{drv}.timeline_total += 1"""
+
+
 class Driver:
     """Single serialized access path to the switch ASIC."""
 
@@ -341,7 +385,9 @@ class Driver:
         same ``prep + device_cost + pcie`` sum and bumps the same
         counters without building an :class:`OpRecord` or entering the
         retry loop.  Injectors and invariant checkers attach mid-run;
-        the very next op takes the full tail.
+        the very next op takes the full tail.  :func:`plain_tail_guard`
+        and :func:`plain_tail_source` are this test and this tail as
+        source: change them together.
         """
         model = self.model
         prep = (

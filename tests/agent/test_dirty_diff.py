@@ -171,3 +171,13 @@ def test_recovered_agent_keeps_diffing_correctly():
     fresh.write_malleable("v1", 5)
     fresh.run_iteration()
     assert fresh.read_malleable("v1") == 5
+
+
+def test_full_mode_set_after_prologue_rewrites_every_shadow():
+    # The iteration is generated at prologue(); switching the mode
+    # afterwards regenerates it (the diff-mode vv flip alone would
+    # otherwise skip the shadow rewrites).
+    system = build(commit_mode="diff")
+    idle = iteration_ops(system)
+    system.agent.commit_mode = "full"
+    assert iteration_ops(system) == idle + 2 * 3

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from repro.agent.agent import MantisAgent
-from repro.apps.dos import DosMitigationApp
+from repro.apps.dos import DOS_P4R, DosMitigationApp
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -170,14 +170,22 @@ def test_recover_rebuilds_the_prologue_plans():
 
 #: Python-level calls (``call`` + ``c_call`` profile events) one
 #: steady-state DoS iteration makes: five driver ops, one reaction, no
-#: traffic, a scheduler attached.  147 before the fast path; a rise
-#: means per-iteration work crept back into the dialogue loop.
-CALLS_PER_ITERATION = 43
+#: traffic, a scheduler attached.  147 before the fast path, 43 before
+#: the generated iteration, whose inlined ops still make one
+#: ``SimClock.advance`` each; a rise means per-iteration work crept
+#: back into the dialogue loop.
+CALLS_PER_ITERATION = 15
+#: The same iteration through a control-plane service session: every
+#: op goes through ``SessionDriver.<op>`` and the channel (68 before
+#: the generated iteration).
+SESSION_CALLS_PER_ITERATION = 61
 CALLS_SLACK = 4
 
 
-def test_steady_state_iteration_call_budget():
-    app = DosMitigationApp()
+def _calls_per_iteration(ctrl_service: bool) -> float:
+    app = DosMitigationApp(system=MantisSystem.from_source(
+        DOS_P4R, num_ports=64, ctrl_service=ctrl_service,
+    ))
     NetworkSim(app.system)  # the clock watches a (quiet) event queue
     app.prologue()
     agent = app.system.agent
@@ -198,6 +206,16 @@ def test_steady_state_iteration_call_budget():
             agent.run_iteration()
     finally:
         sys.setprofile(previous)
-    per_iteration = (calls - 1) / iterations  # minus the final setprofile
-    assert per_iteration <= CALLS_PER_ITERATION + CALLS_SLACK, per_iteration
     assert app.system.driver.ops_issued >= 5 * (iterations + 100)
+    return (calls - 1) / iterations  # minus the final setprofile
+
+
+def test_steady_state_iteration_call_budget():
+    per_iteration = _calls_per_iteration(ctrl_service=False)
+    assert per_iteration <= CALLS_PER_ITERATION + CALLS_SLACK, per_iteration
+
+
+def test_steady_state_session_iteration_call_budget():
+    per_iteration = _calls_per_iteration(ctrl_service=True)
+    assert per_iteration <= SESSION_CALLS_PER_ITERATION + CALLS_SLACK, \
+        per_iteration

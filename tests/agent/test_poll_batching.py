@@ -128,3 +128,32 @@ class TestPollBatching:
         assert abs(predicted - other) == pytest.approx(
             system.driver.model.pcie_rtt_us
         )
+
+
+@pytest.mark.parametrize("knob,value", [
+    ("poll_batching", True),
+    ("verify_commits", True),
+])
+def test_knob_set_after_prologue_takes_effect(knob, value):
+    """The iteration is generated at ``prologue()``; setting one of the
+    knobs it is built from afterwards must regenerate it, so the agent
+    runs exactly like one constructed with that setting."""
+    def run(late: bool):
+        system = MantisSystem.from_source(
+            TWO_ARRAY_P4R, num_ports=4, **({} if late else {knob: value})
+        )
+        system.agent.prologue()
+        system.agent.run(3)
+        if late:
+            setattr(system.agent, knob, value)
+        assert getattr(system.agent, knob) == value
+        before = system.driver.ops_issued
+        system.agent.run(3)
+        return system.agent.last_breakdown, system.driver.ops_issued - before
+
+    early_breakdown, early_ops = run(late=False)
+    late_breakdown, late_ops = run(late=True)
+    assert late_ops == early_ops
+    # The two clocks stand at different instants (the first iterations
+    # differed), so the phase lengths agree up to float rounding.
+    assert late_breakdown == pytest.approx(early_breakdown, rel=1e-12)

@@ -340,3 +340,53 @@ def test_fairness_stats_account_all_classes():
 
 def test_priority_classes_are_the_documented_three():
     assert PRIORITY_CLASSES == {"mantis": 0, "legacy": 1, "bulk": 2}
+
+
+def _session_ops():
+    """``Driver`` methods taking a ``session`` parameter: device ops
+    that must reserve the session's channel."""
+    import inspect
+
+    from repro.switch.driver import Driver
+
+    return sorted(
+        name for name, fn in vars(Driver).items()
+        if callable(fn) and "session" in inspect.signature(fn).parameters
+    )
+
+
+def test_every_session_op_is_wrapped_or_refused():
+    from repro.ctrl.service import SessionDriver
+
+    _system, _scheduler, service = make_stack()
+    facade = service.open_session("client").driver
+    wrapped = [name for name in _session_ops() if name in vars(SessionDriver)]
+    # The eleven public device ops keep hand-written wrappers (the bench
+    # tracer patches them by name); anything else must not fall through.
+    assert len(wrapped) == 11 and "write_batch" in wrapped
+    for name in _session_ops():
+        if name not in wrapped:
+            with pytest.raises(AttributeError):
+                getattr(facade, name)
+    assert facade.errors_total == 0  # plain attributes still fall through
+
+
+def test_new_driver_op_without_wrapper_raises(monkeypatch):
+    from repro.switch.driver import Driver
+
+    _system, _scheduler, service = make_stack()
+    facade = service.open_session("client").driver
+
+    def new_op(self, name, channel="mantis", session=None):
+        return self._execute("register_read", name, 0.0, None, channel,
+                             session=session)
+
+    def helper(self, name):
+        return name
+
+    monkeypatch.setattr(Driver, "new_op", new_op, raising=False)
+    monkeypatch.setattr(Driver, "helper", helper, raising=False)
+    assert "new_op" in _session_ops()
+    with pytest.raises(AttributeError, match="new_op"):
+        facade.new_op
+    assert facade.helper("x") == "x"  # no session: forwarded

@@ -46,12 +46,15 @@ FAULTY_ITERATIONS = 45
 CLEAN_TAIL_ITERATIONS = 10
 
 
-def build_app():
+def build_app(ctrl_service=False):
+    """The DoS app on a faultable channel; ``ctrl_service=True`` routes
+    the agent's ops through a control-plane service session."""
     system = MantisSystem.from_source(
         DOS_P4R,
         retry_policy=RetryPolicy(),
         verify_commits=True,
         num_ports=8,
+        ctrl_service=ctrl_service,
     )
     app = DosMitigationApp(
         system=system, threshold_gbps=0.5, min_duration_us=20.0
@@ -98,7 +101,16 @@ def blocklist_view(agent):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dos_workload_survives_fault_plan(seed):
-    app = build_app()
+    survive_fault_plan(seed, ctrl_service=False)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dos_workload_survives_fault_plan_via_session(seed):
+    survive_fault_plan(seed, ctrl_service=True)
+
+
+def survive_fault_plan(seed, ctrl_service):
+    app = build_app(ctrl_service)
     system = app.system
     agent = system.agent
     checker = VersionInvariantChecker(system)

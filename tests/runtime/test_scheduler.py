@@ -52,6 +52,21 @@ class TestEvents:
             scheduler.after(float("nan"), lambda now: None)
         assert len(scheduler.events) == 0
 
+    def test_run_until_nan_horizon_rejected(self):
+        scheduler = Scheduler()
+        fired = []
+        scheduler.after(5.0, fired.append)
+        with pytest.raises(SimulationError):
+            scheduler.run_until(float("nan"))
+        assert fired == [] and scheduler.clock.now == 0.0
+
+    def test_clock_advance_to_nan_rejected(self):
+        clock = SimClock(3.0)
+        with pytest.raises(ValueError):
+            clock.advance_to(float("nan"))
+        assert clock.now == 3.0
+        assert clock.advance_to(1.0) == 3.0  # an earlier time is a no-op
+
     def test_event_exactly_at_horizon_runs(self):
         scheduler = Scheduler()
         log = []

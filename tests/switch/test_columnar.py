@@ -1007,3 +1007,35 @@ class TestWholeTableFallback:
         stats = col.asic.batch_stats
         assert stats.columnar_fallback == self.N_PACKETS
         assert stats.packets == stats.fused + stats.slow_path
+
+
+class TestUniqueSorted:
+    """``unique_sorted`` gives ``np.unique``'s values and first-occurrence
+    indices (it replaces it on the burst path, which must not import
+    ``numpy.ma``)."""
+
+    @pytest.mark.parametrize("values", [
+        [], [7], [3, 3, 3, 3], [-2, 5, -2, 0, 5, 9, 0, -2],
+        [2 ** 62, -(2 ** 62), 0, 2 ** 62],
+    ], ids=["empty", "single", "all-equal", "mixed", "extremes"])
+    def test_matches_np_unique(self, values):
+        np = columnar.np
+        array = np.array(values, np.int64)
+        expected_values, expected_first = np.unique(array, return_index=True)
+        got_values, got_first = columnar.unique_sorted(array, True)
+        assert got_values.dtype == np.int64
+        assert got_values.tolist() == expected_values.tolist()
+        assert got_first.tolist() == expected_first.tolist()
+        assert columnar.unique_sorted(array).tolist() == \
+            expected_values.tolist()
+
+    def test_matches_np_unique_on_random_arrays(self):
+        np = columnar.np
+        rng = np.random.default_rng(40)
+        for size in (1, 2, 17, 256, 1000):
+            for span in (1, 4, 1 << 40):
+                array = rng.integers(-span, span + 1, size, dtype=np.int64)
+                expected = np.unique(array, return_index=True)
+                got = columnar.unique_sorted(array, return_index=True)
+                assert got[0].tolist() == expected[0].tolist()
+                assert got[1].tolist() == expected[1].tolist()

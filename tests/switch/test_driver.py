@@ -1,11 +1,20 @@
 """Driver cost-model tests (the substrate behind Figures 10-12)."""
 
+import ast
+import inspect
+import textwrap
+
 import pytest
 
 from repro.errors import DriverError, SwitchError
 from repro.p4.parser import parse_p4
 from repro.switch.asic import STANDARD_METADATA_P4, SwitchAsic
-from repro.switch.driver import Driver, DriverCostModel
+from repro.switch.driver import (
+    Driver,
+    DriverCostModel,
+    plain_tail_guard,
+    plain_tail_source,
+)
 
 PROGRAM = STANDARD_METADATA_P4 + """
 header_type h_t { fields { f : 32; } }
@@ -165,3 +174,84 @@ class TestDriverOps:
         driver.write_register("wide", 0, 1)
         driver.read_registers("wide")
         assert driver.ops_issued == 2
+
+
+class TestPlainTailSource:
+    """Generated code replays ``Driver._execute``'s plain tail from
+    ``plain_tail_guard``/``plain_tail_source``; these fail when the
+    tail and its source copy drift apart."""
+
+    #: Driver attributes ``_execute`` reads that cannot fail, delay or
+    #: watch an op: its pricing, batch state, clock, retry budget and
+    #: the counters it bumps.  A new attribute read there that *can*
+    #: observe an op belongs in ``plain_tail_guard`` instead.
+    BOOKKEEPING = {
+        "model", "_batch", "clock", "memoization_enabled", "retry_policy",
+        "op_attempts", "ops_issued", "timeline_total", "timeouts_total",
+        "retries_total", "op_retries", "_record_error", "_record_op",
+    }
+
+    @staticmethod
+    def _plain_branch() -> ast.If:
+        source = textwrap.dedent(inspect.getsource(Driver._execute))
+        function = ast.parse(source).body[0]
+        for node in function.body:
+            if isinstance(node, ast.If) and "session is None" in ast.unparse(
+                node.test
+            ):
+                return node
+        raise AssertionError("Driver._execute has no plain-tail branch")
+
+    @staticmethod
+    def _self_attributes(tree: ast.AST) -> set:
+        return {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+        }
+
+    def test_guard_is_execute_test(self):
+        branch = self._plain_branch()
+        tested = {ast.unparse(term) for term in branch.test.values}
+        guard = ast.parse(plain_tail_guard("self"), mode="eval").body
+        copied = {ast.unparse(term) for term in guard.values}
+        # The guard adds memoization (the prep it prices); ``_execute``
+        # picks the prep separately.
+        assert tested - {"session is None"} == copied - {
+            "self.memoization_enabled"
+        }
+
+    def test_execute_reads_nothing_the_guard_misses(self):
+        function = ast.parse(
+            textwrap.dedent(inspect.getsource(Driver._execute))
+        )
+        guarded = self._self_attributes(ast.parse(plain_tail_guard("self")))
+        unguarded = self._self_attributes(function) - guarded - self.BOOKKEEPING
+        assert not unguarded, (
+            f"Driver._execute reads {sorted(unguarded)}: if it can observe "
+            "an op, add it to plain_tail_guard"
+        )
+
+    def test_source_bumps_what_the_tail_bumps(self):
+        def effects(tree: ast.AST) -> list:
+            out = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.AugAssign):
+                    out.append(f"{ast.unparse(node.target)} +=")
+                elif isinstance(node, ast.Assign):
+                    out.extend(ast.unparse(t) + " =" for t in node.targets)
+                elif isinstance(node, ast.Call) and ast.unparse(
+                    node.func
+                ).endswith(".advance"):
+                    out.append("advance")
+            return sorted(
+                line.replace("self.", "").replace("batch.", "")
+                for line in out
+                if not line.startswith(("pcie ", "result ", "c "))
+            )
+
+        tail = ast.Module(body=self._plain_branch().body, type_ignores=[])
+        copy = ast.parse(
+            plain_tail_source("self", "batch", "self.clock", "pass", "a", "b")
+        )
+        assert effects(tail) == effects(copy)

@@ -108,3 +108,47 @@ def test_columnar_without_numpy_fails_fast_scalar_runs():
         MANTIS_PIPELINE="columnar",
     )
     assert "requires numpy" in outcome
+
+
+# A columnar template burst that takes both vector ``unique`` paths: a
+# per-lane register scatter and an exact table past the per-entry scan
+# size (sorted-key lookup).
+COLUMNAR_BURST = """
+from repro.switch.asic import STANDARD_METADATA_P4
+from repro.switch.columnar import ColumnarBatch
+from repro.switch.packet import PacketTemplate, TemplateBurst
+from repro.system import MantisSystem
+source = STANDARD_METADATA_P4 + '''
+header_type h_t { fields { i : 8; f : 32; k : 32; } }
+header h_t hdr;
+register r { width : 32; instance_count : 16; }
+action put() { register_write(r, hdr.i, hdr.f); }
+table t { actions { put; } default_action : put(); }
+action fwd(p) { modify_field(standard_metadata.egress_spec, p); }
+action nop() { no_op(); }
+table route {
+    reads { hdr.k : exact; }
+    actions { fwd; nop; }
+    default_action : nop();
+    size : 64;
+}
+control ingress { apply(t); apply(route); }
+'''
+system = MantisSystem.from_source(source, num_ports=8)
+for key in range(12):
+    system.driver.add_entry('route', [key], 'fwd', [1 + key % 4])
+burst = TemplateBurst(PacketTemplate({'hdr.i': 5, 'hdr.f': 7, 'hdr.k': 9}), 16)
+results = system.asic.process_batch_columnar(ColumnarBatch.from_burst(burst))
+executor = system.asic.executor
+assert len(results) == 16 and executor.fallback_counts == {}, executor.fallback_counts
+assert system.asic.registers['r'].values[5] == 7
+assert system.asic.tables['route'].hits == 16
+print(json.dumps(sorted(name for name in ('numpy', 'numpy.ma')
+                        if name in sys.modules)))
+"""
+
+
+def test_columnar_burst_does_not_load_numpy_ma():
+    # np.unique imports numpy.ma on first use; the burst's unique
+    # lookups must not.
+    assert _run(COLUMNAR_BURST, MANTIS_PIPELINE="columnar") == ["numpy"]
